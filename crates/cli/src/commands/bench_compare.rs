@@ -15,9 +15,9 @@
 //! into a non-zero exit.
 //!
 //! Documents with schema `bga-scaling-v1` (PR 4) and `bga-scaling-v2`
-//! (adds the weighted SSSP rows) are both accepted; the parser is a
-//! dependency-free recursive-descent JSON reader (the workspace builds
-//! offline, so there is no serde to lean on).
+//! (adds the weighted SSSP rows) are both accepted; they are read with
+//! the workspace's one dependency-free JSON reader, [`bga_obs::json`]
+//! (the workspace builds offline, so there is no serde to lean on).
 //!
 //! Baselines come out of a best-effort CI cache, so a missing, empty or
 //! unparseable baseline file is skipped with a warning and the median is
@@ -25,6 +25,7 @@
 //! baseline loads at all (or when the *new* document — the artifact under
 //! test — is broken).
 
+use bga_obs::json::Json;
 use std::fs;
 
 /// Regression threshold in percent when `--threshold` is absent.
@@ -289,275 +290,6 @@ fn parse_scaling_document(text: &str) -> Result<ScalingDocument, String> {
     })
 }
 
-/// A parsed JSON value. Objects keep insertion order in a flat pair list —
-/// the documents here are tiny, so linear key lookup is fine.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Number(f64),
-    String(String),
-    Array(Vec<Json>),
-    Object(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Parses a complete JSON document, rejecting trailing garbage.
-    fn parse(text: &str) -> Result<Json, String> {
-        let mut parser = JsonParser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        parser.skip_whitespace();
-        let value = parser.parse_value()?;
-        parser.skip_whitespace();
-        if parser.pos != parser.bytes.len() {
-            return Err(format!("trailing garbage at byte {}", parser.pos));
-        }
-        Ok(value)
-    }
-
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Object(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-/// Recursive-descent JSON reader over raw bytes. Supports the full value
-/// grammar the scaling documents use (objects, arrays, strings with the
-/// standard escapes, numbers, booleans, null).
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl JsonParser<'_> {
-    fn skip_whitespace(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {}, found {:?}",
-                byte as char,
-                self.pos,
-                self.peek().map(|b| b as char)
-            ))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Json, String> {
-        self.skip_whitespace();
-        match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(Json::String(self.parse_string()?)),
-            Some(b't') => self.parse_literal("true", Json::Bool(true)),
-            Some(b'f') => self.parse_literal("false", Json::Bool(false)),
-            Some(b'n') => self.parse_literal("null", Json::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|b| b as char),
-                self.pos
-            )),
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(pairs));
-        }
-        loop {
-            self.skip_whitespace();
-            let key = self.parse_string()?;
-            self.skip_whitespace();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            pairs.push((key, value));
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(pairs));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|b| b as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or ']' at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|b| b as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let escaped = self
-                        .peek()
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    self.pos += 1;
-                    match escaped {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| "non-ASCII \\u escape".to_string())?,
-                                16,
-                            )
-                            .map_err(|e| format!("bad \\u escape: {e}"))?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| "invalid \\u code point".to_string())?,
-                            );
-                        }
-                        other => {
-                            return Err(format!("unknown escape '\\{}'", other as char));
-                        }
-                    }
-                }
-                Some(_) => {
-                    // Copy one UTF-8 scalar (the bytes came from a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let ch = std::str::from_utf8(rest)
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?
-                        .chars()
-                        .next()
-                        .unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while self.peek().is_some_and(|b| {
-            b.is_ascii_digit() || b == b'.' || b == b'e' || b == b'E' || b == b'+' || b == b'-'
-        }) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Json::Number)
-            .map_err(|e| format!("invalid number {text:?} at byte {start}: {e}"))
-    }
-
-    fn parse_literal(&mut self, literal: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(literal.as_bytes()) {
-            self.pos += literal.len();
-            Ok(value)
-        } else {
-            Err(format!("expected {literal:?} at byte {}", self.pos))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -589,35 +321,6 @@ mod tests {
 
     fn strings(parts: &[&str]) -> Vec<String> {
         parts.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn json_parser_handles_the_scaling_grammar() {
-        let value = Json::parse(&doc(
-            "bga-scaling-v2",
-            &[("audikw1", "sssp", "weighted", 2, 1.5)],
-        ))
-        .unwrap();
-        assert_eq!(
-            value.get("schema").and_then(Json::as_str),
-            Some("bga-scaling-v2")
-        );
-        assert_eq!(
-            value.get("single_core_host").and_then(Json::as_bool),
-            Some(false)
-        );
-        let rows = value.get("rows").and_then(Json::as_array).unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].get("time_ms").and_then(Json::as_f64), Some(1.5));
-        // Escapes, null, negative/exponent numbers.
-        let value = Json::parse(r#"{"a": "q\"\nA", "b": null, "c": -1.5e2}"#).unwrap();
-        assert_eq!(value.get("a").and_then(Json::as_str), Some("q\"\nA"));
-        assert_eq!(value.get("b"), Some(&Json::Null));
-        assert_eq!(value.get("c").and_then(Json::as_f64), Some(-150.0));
-        // Garbage is rejected.
-        assert!(Json::parse("{\"a\": }").is_err());
-        assert!(Json::parse("{} extra").is_err());
-        assert!(Json::parse("[1, 2").is_err());
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Dependency-free JSON value, parser and writer.
 //!
 //! The workspace builds offline, so there is no serde to lean on; this is
-//! the same recursive-descent reader idiom `bga bench compare` uses, plus a
-//! compact writer so [`crate::event::TraceEvent`] lines round-trip through
-//! plain strings. Objects keep insertion order in a flat pair list — trace
-//! lines are tiny, so linear key lookup is fine.
+//! a recursive-descent reader (also what `bga bench compare` reads scaling
+//! documents with), plus a compact writer so [`crate::event::TraceEvent`]
+//! lines round-trip through plain strings. Objects keep insertion order in
+//! a flat pair list — trace lines are tiny, so linear key lookup is fine.
 
 use std::fmt;
 
@@ -393,7 +393,9 @@ mod tests {
 
     #[test]
     fn accessors_extract_typed_payloads() {
-        let value = Json::parse(r#"{"a": 4, "b": "x", "c": [1], "d": false, "e": 1.5}"#).unwrap();
+        let value =
+            Json::parse(r#"{"a": 4, "b": "x", "c": [1], "d": false, "e": 1.5, "f": -1.5e2}"#)
+                .unwrap();
         assert_eq!(value.get("a").and_then(Json::as_u64), Some(4));
         assert_eq!(value.get("b").and_then(Json::as_str), Some("x"));
         assert_eq!(
@@ -404,6 +406,8 @@ mod tests {
         // A fractional number is not a u64.
         assert_eq!(value.get("e").and_then(Json::as_u64), None);
         assert_eq!(value.get("e").and_then(Json::as_f64), Some(1.5));
+        // Sign and exponent (the scaling documents' `time_ms` grammar).
+        assert_eq!(value.get("f").and_then(Json::as_f64), Some(-150.0));
         assert_eq!(value.get("missing"), None);
     }
 

@@ -42,16 +42,13 @@
 //! [`bga_kernels::bc::betweenness_centrality_sources`].
 
 use crate::auto::AutoSwitch;
-use crate::cancel::{self, CancelToken, RunOutcome};
+use crate::cancel::{self, RunOutcome};
 use crate::engine::{
     frontier_degree_prefix, LevelCtx, LevelKernel, LevelLoop, LevelRun, TraversalState,
 };
-use crate::pool::{
-    balanced_prefix_ranges, effective_chunks_with_grain, Execute, PoolConfig, PoolMonitor,
-    WorkerPool,
-};
-use crate::request::{RunConfig, Variant};
-use crate::trace::{emit_degradation_warning, run_footprint, TraceRun};
+use crate::pool::{balanced_prefix_ranges, effective_chunks_with_grain, Execute};
+use crate::request::{ExecutorAxis, RunConfig, Variant};
+use crate::trace::{run_footprint, RunScope};
 use bga_graph::{AdjacencySource, VertexId};
 use bga_kernels::bfs::direction_optimizing::DirectionConfig;
 use bga_kernels::bfs::INFINITY;
@@ -59,7 +56,6 @@ use bga_obs::{OffsetSink, TraceEvent, TraceSink};
 use bga_perfmodel::advisor::AdvisorConfig;
 use std::ops::Range;
 use std::sync::atomic::Ordering::Relaxed;
-use std::sync::Arc;
 
 /// Which forward-phase hooking discipline a parallel betweenness run uses.
 /// Both produce identical σ counts and (bit-identical) scores; they differ
@@ -285,57 +281,24 @@ fn accumulate_dependencies<G: AdjacencySource, E: Execute>(
     }
 }
 
-/// The shared all/sampled-sources driver: un-halved accumulation.
-fn par_bc_accumulate_on<G: AdjacencySource, E: Execute>(
-    graph: &G,
-    sources: &[VertexId],
-    exec: &E,
-    grain: usize,
-    variant: BcVariant,
-) -> Vec<f64> {
-    let n = graph.num_vertices();
-    let mut centrality = vec![0.0f64; n];
-    let mut delta = vec![0.0f64; n];
-    let mut state = TraversalState::with_sigma(n);
-    let level_loop = LevelLoop::new(graph, exec, grain, DirectionConfig::always_top_down());
-    let auto = auto_forward(false);
-    for &source in sources {
-        if (source as usize) >= n {
-            continue;
-        }
-        state.reset();
-        let run = match variant {
-            BcVariant::BranchAvoiding => level_loop.run(&state, source, &BcForward::<true, false>),
-            BcVariant::BranchBased => level_loop.run(&state, source, &BcForward::<false, false>),
-            BcVariant::Auto => level_loop.run(&state, source, &auto),
-        };
-        accumulate_dependencies(
-            graph,
-            exec,
-            grain,
-            &run,
-            &state,
-            &mut delta,
-            &mut centrality,
-        );
-    }
-    centrality
-}
-
-/// The unified request driver behind [`crate::request::run_betweenness`]:
-/// observed runs (trace sink or cancel token) go through the monitored
-/// multi-source driver, everything else through the unmonitored fast
-/// path. `sources: None` means the full accumulation over every vertex
-/// with the standard halved undirected convention; `Some` returns the raw
-/// un-halved sums over the given set. BC kernels carry no tally, so
-/// `RunConfig::instrumented` has no effect here.
-pub(crate) fn run_request<G: AdjacencySource, S: TraceSink>(
+/// The one driver behind [`crate::request::run_betweenness`].
+/// `sources: None` means the full accumulation over every vertex with
+/// the standard halved undirected convention; `Some` returns the raw
+/// un-halved sums over the given set. The forward kernels tally under the
+/// same rule as every other kernel (instrumented or traced), in every
+/// variant, so a traced run's phase counters are real.
+///
+/// The token is checked between sources (against the total forward
+/// phases run so far) and inside each source's forward traversal at
+/// every level boundary; a source whose traversal is interrupted
+/// contributes nothing, so the returned scores are always the *exact*
+/// accumulation over the first `sources_done` sources.
+pub(crate) fn run_request<G: AdjacencySource, S: TraceSink, X: ExecutorAxis>(
     graph: &G,
     variant: Variant,
     sources: Option<&[VertexId]>,
-    config: &RunConfig<'_, S>,
+    config: &RunConfig<'_, S, X>,
 ) -> (ParBcRun, RunOutcome) {
-    let pool_config = config.pool_config();
     let all: Vec<VertexId>;
     let source_list: &[VertexId] = match sources {
         Some(list) => list,
@@ -344,110 +307,26 @@ pub(crate) fn run_request<G: AdjacencySource, S: TraceSink>(
             &all
         }
     };
-    let (mut scores, sources_done, outcome) = if config.observed() {
-        par_bc_accumulate_impl(
-            graph,
-            source_list,
-            &pool_config,
-            variant,
-            config.sink,
-            config.cancel,
-        )
-    } else {
-        let pool = WorkerPool::with_config(&pool_config);
-        let scores = par_bc_accumulate_on(graph, source_list, &pool, pool_config.grain, variant);
-        (scores, source_list.len(), RunOutcome::Completed)
-    };
-    if sources.is_none() {
-        // Each undirected pair was counted twice (once per endpoint).
-        for c in &mut scores {
-            *c /= 2.0;
-        }
-    }
-    (
-        ParBcRun {
-            scores,
-            sources_done,
-            threads: pool_config.threads,
+    let scope = RunScope::open(config, |threads, grain| TraceEvent::RunStart {
+        kernel: "bc".to_string(),
+        variant: variant.as_str().to_string(),
+        vertices: graph.num_vertices(),
+        edges: graph.num_edge_slots(),
+        threads,
+        grain,
+        delta: None,
+        root: match source_list {
+            [only] => Some(*only),
+            _ => None,
         },
-        outcome,
-    )
-}
-
-/// [`run_request`] on an explicit executor: plain kernels, the bench seam.
-pub(crate) fn run_request_on<G: AdjacencySource, E: Execute>(
-    graph: &G,
-    variant: Variant,
-    sources: Option<&[VertexId]>,
-    exec: &E,
-    grain: usize,
-) -> ParBcRun {
-    let all: Vec<VertexId>;
-    let source_list: &[VertexId] = match sources {
-        Some(list) => list,
-        None => {
-            all = (0..graph.num_vertices() as VertexId).collect();
-            &all
-        }
-    };
-    let mut scores = par_bc_accumulate_on(graph, source_list, exec, grain, variant);
-    if sources.is_none() {
-        for c in &mut scores {
-            *c /= 2.0;
-        }
-    }
-    ParBcRun {
-        scores,
-        sources_done: source_list.len(),
-        threads: exec.parallelism(),
-    }
-}
-
-/// The shared monitored driver behind the traced and cancellable
-/// multi-source entry points. The token is checked between sources
-/// (against the total forward phases emitted so far) and inside each
-/// source's forward traversal at every level boundary; a source whose
-/// traversal is interrupted contributes nothing, so the returned scores
-/// are always the *exact* accumulation over the first `sources_done`
-/// sources.
-fn par_bc_accumulate_impl<G: AdjacencySource, S: TraceSink>(
-    graph: &G,
-    sources: &[VertexId],
-    config: &PoolConfig,
-    variant: Variant,
-    sink: &S,
-    token: Option<&CancelToken>,
-) -> (Vec<f64>, usize, RunOutcome) {
-    let monitor = PoolMonitor::new();
-    let pool = WorkerPool::with_monitor(config.threads, Arc::clone(&monitor));
-    let scope = TraceRun::start(
-        sink,
-        TraceEvent::RunStart {
-            kernel: "bc".to_string(),
-            variant: variant.as_str().to_string(),
-            vertices: graph.num_vertices(),
-            edges: graph.num_edge_slots(),
-            threads: pool.threads(),
-            grain: config.grain,
-            delta: None,
-            root: if sources.len() == 1 {
-                sources.first().copied()
-            } else {
-                None
-            },
-            footprint: Some(run_footprint(graph.footprint())),
-        },
-    );
+        footprint: Some(run_footprint(graph.footprint())),
+    });
     let n = graph.num_vertices();
     let mut centrality = vec![0.0f64; n];
     let mut delta = vec![0.0f64; n];
     let mut state = TraversalState::with_sigma(n);
-    let level_loop = LevelLoop::new(
-        graph,
-        &pool,
-        config.grain,
-        DirectionConfig::always_top_down(),
-    );
+    let (exec, grain, token) = (scope.exec(), scope.grain, scope.cancel);
+    let level_loop = LevelLoop::new(graph, exec, grain, DirectionConfig::always_top_down());
     let mut sources_done = 0usize;
     // Counted here rather than through the scope so the budget works with
     // a disabled sink too (a NoopSink never sees the phase events).
@@ -455,8 +334,8 @@ fn par_bc_accumulate_impl<G: AdjacencySource, S: TraceSink>(
     let mut outcome = RunOutcome::Completed;
     // Shared across sources: the advisor samples the first source's
     // levels, and every later source runs the chosen static discipline.
-    let auto = auto_forward(true);
-    for &source in sources {
+    let auto = auto_forward(scope.tally);
+    for &source in source_list {
         if (source as usize) >= n {
             sources_done += 1;
             continue;
@@ -466,23 +345,21 @@ fn par_bc_accumulate_impl<G: AdjacencySource, S: TraceSink>(
             break;
         }
         state.reset();
-        let per_source = OffsetSink::new(&scope, scope.phases_so_far());
-        let (run, forward_outcome) = match variant {
-            BcVariant::BranchAvoiding => level_loop.run_loop(
-                &state,
-                source,
-                &BcForward::<true, false>,
-                &per_source,
-                token,
-            ),
-            BcVariant::BranchBased => level_loop.run_loop(
-                &state,
-                source,
-                &BcForward::<false, false>,
-                &per_source,
-                token,
-            ),
-            BcVariant::Auto => level_loop.run_loop(&state, source, &auto, &per_source, token),
+        let sink = &OffsetSink::new(scope.sink(), scope.sink().phases_so_far());
+        let (run, forward_outcome) = match (variant, scope.tally) {
+            (BcVariant::BranchAvoiding, false) => {
+                level_loop.run(&state, source, &BcForward::<true, false>, sink, token)
+            }
+            (BcVariant::BranchAvoiding, true) => {
+                level_loop.run(&state, source, &BcForward::<true, true>, sink, token)
+            }
+            (BcVariant::BranchBased, false) => {
+                level_loop.run(&state, source, &BcForward::<false, false>, sink, token)
+            }
+            (BcVariant::BranchBased, true) => {
+                level_loop.run(&state, source, &BcForward::<false, true>, sink, token)
+            }
+            (BcVariant::Auto, _) => level_loop.run(&state, source, &auto, sink, token),
         };
         if !forward_outcome.is_completed() {
             outcome = forward_outcome;
@@ -491,8 +368,8 @@ fn par_bc_accumulate_impl<G: AdjacencySource, S: TraceSink>(
         total_phases += run.directions.len();
         accumulate_dependencies(
             graph,
-            &pool,
-            config.grain,
+            exec,
+            grain,
             &run,
             &state,
             &mut delta,
@@ -500,14 +377,25 @@ fn par_bc_accumulate_impl<G: AdjacencySource, S: TraceSink>(
         );
         sources_done += 1;
     }
-    emit_degradation_warning(&pool, &scope);
-    scope.finish_with_outcome(Some(monitor.take_metrics()), &outcome);
-    (centrality, sources_done, outcome)
+    scope.close(&outcome);
+    if sources.is_none() {
+        // Each undirected pair was counted twice (once per endpoint).
+        for c in &mut centrality {
+            *c /= 2.0;
+        }
+    }
+    let result = ParBcRun {
+        scores: centrality,
+        sources_done,
+        threads: scope.threads(),
+    };
+    (result, outcome)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cancel::CancelToken;
     use bga_graph::generators::{
         barabasi_albert, complete_graph, cycle_graph, grid_2d, path_graph, star_graph, MeshStencil,
     };
@@ -608,23 +496,23 @@ mod tests {
 
     #[test]
     fn executors_and_grains_agree() {
-        use crate::pool::ScopedExecutor;
+        use crate::pool::{ScopedExecutor, WorkerPool};
         let g = grid_2d(9, 8, MeshStencil::Moore);
         let expected = betweenness_centrality(&g);
         let pool = WorkerPool::new(4);
         let scoped = ScopedExecutor::new(4);
         // Grain 1 forces every level and back-sweep slice to fan out.
         for grain in [1, 4096] {
+            let on_pool = RunConfig::new().on(&pool).grain(grain);
             for variant in [Variant::BranchBased, Variant::BranchAvoiding] {
                 assert_close(
-                    &run_request_on(&g, variant, None, &pool, grain).scores,
+                    &run_request(&g, variant, None, &on_pool).0.scores,
                     &expected,
                 );
             }
-            assert_close(
-                &run_request_on(&g, Variant::BranchAvoiding, None, &scoped, grain).scores,
-                &expected,
-            );
+            let on_scoped = RunConfig::new().on(&scoped).grain(grain);
+            let run = run_request(&g, Variant::BranchAvoiding, None, &on_scoped).0;
+            assert_close(&run.scores, &expected);
         }
     }
 

@@ -33,12 +33,11 @@
 //! bottom-up levels discover in ascending vertex order.
 
 use crate::auto::AutoSwitch;
-use crate::cancel::{CancelToken, RunOutcome};
+use crate::cancel::RunOutcome;
 use crate::counters::ThreadTally;
-use crate::engine::{bottom_up_claim, LevelCtx, LevelKernel, LevelLoop, LevelRun, TraversalState};
-use crate::pool::{Execute, PoolConfig, PoolMonitor, WorkerPool};
-use crate::request::{BfsStrategy, RunConfig, Variant};
-use crate::trace::{emit_degradation_warning, run_footprint, TraceRun};
+use crate::engine::{bottom_up_claim, LevelCtx, LevelKernel, LevelLoop, TraversalState};
+use crate::request::{BfsStrategy, ExecutorAxis, RunConfig, Variant};
+use crate::trace::{run_footprint, RunScope};
 use bga_graph::{AdjacencySource, VertexId};
 use bga_kernels::bfs::direction_optimizing::DirectionConfig;
 use bga_kernels::bfs::frontier::Bitmap;
@@ -48,7 +47,6 @@ use bga_obs::{TraceEvent, TraceSink};
 use bga_perfmodel::advisor::AdvisorConfig;
 use std::ops::Range;
 use std::sync::atomic::Ordering::Relaxed;
-use std::sync::Arc;
 
 pub use crate::engine::Direction;
 
@@ -80,7 +78,7 @@ pub struct ParDirBfsRun {
     /// non-empty, starting with the root's own expansion).
     pub directions: Vec<Direction>,
     /// Per-level counters (top-down *and* bottom-up levels) — populated
-    /// only on instrumented/observed runs, empty otherwise.
+    /// only on instrumented or traced runs, empty otherwise.
     pub counters: RunCounters,
     /// Worker count the run actually used.
     pub threads: usize,
@@ -254,200 +252,74 @@ pub(crate) fn auto_level(
     )
 }
 
-/// The direction schedule a strategy pins (always top-down for the plain
-/// disciplines, the configured thresholds for direction-optimizing).
-fn strategy_directions(strategy: BfsStrategy) -> DirectionConfig {
-    match strategy {
+/// The one driver behind [`crate::request::run_bfs`] and its
+/// state-reusing forms. With `reuse` the traversal runs in the caller's
+/// [`TraversalState`] — reset in place before, distances snapshotted out
+/// after — so a long-lived caller (the `bga serve` query loop) keeps one
+/// atomic-array allocation across traversals instead of allocating per
+/// query; without it the run allocates a state and consumes it.
+pub(crate) fn run_request<G: AdjacencySource, S: TraceSink, X: ExecutorAxis>(
+    graph: &G,
+    root: VertexId,
+    strategy: BfsStrategy,
+    reuse: Option<&mut TraversalState>,
+    config: &RunConfig<'_, S, X>,
+) -> (ParDirBfsRun, RunOutcome) {
+    let scope = RunScope::open(config, |threads, grain| TraceEvent::RunStart {
+        kernel: "bfs".to_string(),
+        variant: strategy.as_str().to_string(),
+        vertices: graph.num_vertices(),
+        edges: graph.num_edge_slots(),
+        threads,
+        grain,
+        delta: None,
+        root: Some(root),
+        footprint: Some(run_footprint(graph.footprint())),
+    });
+    // The direction schedule the strategy pins: always top-down for the
+    // plain disciplines, the configured thresholds otherwise.
+    let directions = match strategy {
         BfsStrategy::Plain(_) => DirectionConfig::always_top_down(),
         BfsStrategy::DirectionOptimizing(config) => config,
-    }
-}
-
-/// The unified request driver behind [`crate::request::run_bfs`]: observed
-/// runs (trace sink or cancel token) go through the monitored driver,
-/// everything else through the unmonitored fast path with the tally
-/// compiled in or out by `config.instrumented`.
-pub(crate) fn run_request<G: AdjacencySource, S: TraceSink>(
-    graph: &G,
-    root: VertexId,
-    strategy: BfsStrategy,
-    config: &RunConfig<'_, S>,
-) -> (ParDirBfsRun, RunOutcome) {
-    let pool_config = config.pool_config();
-    if config.observed() {
-        let dir_config = strategy_directions(strategy);
-        let name = strategy.as_str();
-        return match strategy {
-            BfsStrategy::Plain(Variant::BranchBased) => par_bfs_traced_on(
-                graph,
-                root,
-                &pool_config,
-                dir_config,
-                name,
-                &BranchBasedLevel::<true>,
-                config.sink,
-                config.cancel,
-            ),
-            BfsStrategy::Plain(Variant::Auto) => par_bfs_traced_on(
-                graph,
-                root,
-                &pool_config,
-                dir_config,
-                name,
-                &auto_level(true),
-                config.sink,
-                config.cancel,
-            ),
-            _ => par_bfs_traced_on(
-                graph,
-                root,
-                &pool_config,
-                dir_config,
-                name,
-                &BranchAvoidingLevel::<true>,
-                config.sink,
-                config.cancel,
-            ),
-        };
-    }
-    let pool = WorkerPool::with_config(&pool_config);
-    let run = run_plain_on(
-        graph,
-        root,
-        strategy,
-        config.instrumented,
-        &pool,
-        pool_config.grain,
-    );
-    (run, RunOutcome::Completed)
-}
-
-/// [`run_request`] on an explicit executor: plain kernels, the bench seam.
-pub(crate) fn run_request_on<G: AdjacencySource, E: Execute>(
-    graph: &G,
-    root: VertexId,
-    strategy: BfsStrategy,
-    exec: &E,
-    grain: usize,
-) -> ParDirBfsRun {
-    run_plain_on(graph, root, strategy, false, exec, grain)
-}
-
-/// The unmonitored level-loop driver shared by the plain and instrumented
-/// paths.
-fn run_plain_on<G: AdjacencySource, E: Execute>(
-    graph: &G,
-    root: VertexId,
-    strategy: BfsStrategy,
-    instrumented: bool,
-    exec: &E,
-    grain: usize,
-) -> ParDirBfsRun {
-    let state = TraversalState::new(graph.num_vertices());
-    let run = run_plain_shared(graph, root, strategy, instrumented, exec, grain, &state);
-    ParDirBfsRun {
-        result: BfsResult::new(state.into_distances(), run.order),
-        directions: run.directions,
-        counters: run.counters,
-        threads: exec.parallelism(),
-    }
-}
-
-/// [`run_plain_on`] against a caller-held [`TraversalState`]: resets the
-/// state in place and snapshots the distances out, so a long-lived caller
-/// (the `bga serve` query loop) reuses one atomic-array allocation across
-/// traversals instead of allocating per query.
-pub(crate) fn run_request_reusing<G: AdjacencySource, E: Execute>(
-    graph: &G,
-    root: VertexId,
-    strategy: BfsStrategy,
-    exec: &E,
-    grain: usize,
-    state: &mut TraversalState,
-) -> ParDirBfsRun {
-    assert_eq!(
-        state.len(),
-        graph.num_vertices(),
-        "traversal state sized for a different graph"
-    );
-    state.reset();
-    let run = run_plain_shared(graph, root, strategy, false, exec, grain, state);
-    let distances = state.distances().iter().map(|d| d.load(Relaxed)).collect();
-    ParDirBfsRun {
+    };
+    let level_loop = LevelLoop::new(graph, scope.exec(), scope.grain, directions);
+    let (sink, cancel) = (scope.sink(), scope.cancel);
+    let traverse = |state: &TraversalState| match (strategy, scope.tally) {
+        (BfsStrategy::Plain(Variant::BranchBased), false) => {
+            level_loop.run(state, root, &BranchBasedLevel::<false>, sink, cancel)
+        }
+        (BfsStrategy::Plain(Variant::BranchBased), true) => {
+            level_loop.run(state, root, &BranchBasedLevel::<true>, sink, cancel)
+        }
+        (BfsStrategy::Plain(Variant::Auto), tally) => {
+            level_loop.run(state, root, &auto_level(tally), sink, cancel)
+        }
+        (_, false) => level_loop.run(state, root, &BranchAvoidingLevel::<false>, sink, cancel),
+        (_, true) => level_loop.run(state, root, &BranchAvoidingLevel::<true>, sink, cancel),
+    };
+    let ((run, outcome), distances) = match reuse {
+        Some(state) => {
+            assert_eq!(
+                state.len(),
+                graph.num_vertices(),
+                "traversal state sized for a different graph"
+            );
+            state.reset();
+            let done = traverse(state);
+            let distances = state.distances().iter().map(|d| d.load(Relaxed)).collect();
+            (done, distances)
+        }
+        None => {
+            let state = TraversalState::new(graph.num_vertices());
+            (traverse(&state), state.into_distances())
+        }
+    };
+    scope.close(&outcome);
+    let result = ParDirBfsRun {
         result: BfsResult::new(distances, run.order),
         directions: run.directions,
         counters: run.counters,
-        threads: exec.parallelism(),
-    }
-}
-
-/// Kernel dispatch common to the owning and state-reusing drivers.
-fn run_plain_shared<G: AdjacencySource, E: Execute>(
-    graph: &G,
-    root: VertexId,
-    strategy: BfsStrategy,
-    instrumented: bool,
-    exec: &E,
-    grain: usize,
-    state: &TraversalState,
-) -> LevelRun {
-    let level_loop = LevelLoop::new(graph, exec, grain, strategy_directions(strategy));
-    match (strategy, instrumented) {
-        (BfsStrategy::Plain(Variant::BranchBased), false) => {
-            level_loop.run(state, root, &BranchBasedLevel::<false>)
-        }
-        (BfsStrategy::Plain(Variant::BranchBased), true) => {
-            level_loop.run(state, root, &BranchBasedLevel::<true>)
-        }
-        (BfsStrategy::Plain(Variant::Auto), tally) => {
-            level_loop.run(state, root, &auto_level(tally))
-        }
-        (_, false) => level_loop.run(state, root, &BranchAvoidingLevel::<false>),
-        (_, true) => level_loop.run(state, root, &BranchAvoidingLevel::<true>),
-    }
-}
-
-/// The shared traced-run driver: monitored pool, `run-start` header, one
-/// phase event per level, pool batch metrics and the `run-end` trailer,
-/// all delivered to `sink` as a complete `bga-trace-v1` stream. Kernels
-/// run with `TALLY` so the phase counters are real.
-#[allow(clippy::too_many_arguments)]
-fn par_bfs_traced_on<G: AdjacencySource, K: LevelKernel<G>, S: TraceSink>(
-    graph: &G,
-    root: VertexId,
-    config: &PoolConfig,
-    dir_config: DirectionConfig,
-    variant: &str,
-    kernel: &K,
-    sink: &S,
-    cancel: Option<&CancelToken>,
-) -> (ParDirBfsRun, RunOutcome) {
-    let monitor = PoolMonitor::new();
-    let pool = WorkerPool::with_monitor(config.threads, Arc::clone(&monitor));
-    let scope = TraceRun::start(
-        sink,
-        TraceEvent::RunStart {
-            kernel: "bfs".to_string(),
-            variant: variant.to_string(),
-            vertices: graph.num_vertices(),
-            edges: graph.num_edge_slots(),
-            threads: pool.threads(),
-            grain: config.grain,
-            delta: None,
-            root: Some(root),
-            footprint: Some(run_footprint(graph.footprint())),
-        },
-    );
-    let state = TraversalState::new(graph.num_vertices());
-    let (run, outcome) = LevelLoop::new(graph, &pool, config.grain, dir_config)
-        .run_loop(&state, root, kernel, &scope, cancel);
-    emit_degradation_warning(&pool, &scope);
-    scope.finish_with_outcome(Some(monitor.take_metrics()), &outcome);
-    let result = ParDirBfsRun {
-        result: BfsResult::new(state.into_distances(), run.order),
-        directions: run.directions,
-        counters: run.counters,
-        threads: pool.threads(),
+        threads: scope.threads(),
     };
     (result, outcome)
 }
@@ -455,6 +327,7 @@ fn par_bfs_traced_on<G: AdjacencySource, K: LevelKernel<G>, S: TraceSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cancel::CancelToken;
     use bga_graph::generators::{
         barabasi_albert, complete_graph, grid_2d, path_graph, star_graph, MeshStencil,
     };
@@ -489,6 +362,7 @@ mod tests {
             g,
             root,
             BfsStrategy::Plain(variant),
+            None,
             &RunConfig::new().threads(threads),
         )
         .0
@@ -505,6 +379,7 @@ mod tests {
             g,
             root,
             BfsStrategy::DirectionOptimizing(config),
+            None,
             &RunConfig::new().threads(threads),
         )
         .0
@@ -520,6 +395,7 @@ mod tests {
             g,
             root,
             strategy,
+            None,
             &RunConfig::new().threads(threads).instrumented(true),
         )
         .0
@@ -656,49 +532,24 @@ mod tests {
 
     #[test]
     fn pool_and_scoped_executors_agree() {
-        use crate::pool::ScopedExecutor;
+        use crate::pool::{ScopedExecutor, WorkerPool};
         let g = barabasi_albert(1_500, 3, 19);
         let expected = bfs_distances_reference(&g, 0);
         let pool = WorkerPool::new(4);
         let scoped = ScopedExecutor::new(4);
         // Grain of 1 forces fan-out on every level, even tiny ones.
         for grain in [1, 64, 4096] {
-            assert_eq!(
-                run_request_on(
-                    &g,
-                    0,
-                    BfsStrategy::Plain(Variant::BranchAvoiding),
-                    &pool,
-                    grain
-                )
-                .result
-                .distances(),
-                &expected[..]
-            );
-            assert_eq!(
-                run_request_on(
-                    &g,
-                    0,
-                    BfsStrategy::Plain(Variant::BranchBased),
-                    &scoped,
-                    grain
-                )
-                .result
-                .distances(),
-                &expected[..]
-            );
-            assert_eq!(
-                run_request_on(
-                    &g,
-                    0,
-                    BfsStrategy::DirectionOptimizing(DirectionConfig::default()),
-                    &pool,
-                    grain
-                )
-                .result
-                .distances(),
-                &expected[..]
-            );
+            let on_pool = RunConfig::new().on(&pool).grain(grain);
+            let on_scoped = RunConfig::new().on(&scoped).grain(grain);
+            let avoiding = BfsStrategy::Plain(Variant::BranchAvoiding);
+            let run = run_request(&g, 0, avoiding, None, &on_pool).0;
+            assert_eq!(run.result.distances(), &expected[..]);
+            let based = BfsStrategy::Plain(Variant::BranchBased);
+            let run = run_request(&g, 0, based, None, &on_scoped).0;
+            assert_eq!(run.result.distances(), &expected[..]);
+            let diropt = BfsStrategy::DirectionOptimizing(DirectionConfig::default());
+            let run = run_request(&g, 0, diropt, None, &on_pool).0;
+            assert_eq!(run.result.distances(), &expected[..]);
         }
     }
 
@@ -787,6 +638,7 @@ mod tests {
             &g,
             0,
             BfsStrategy::Plain(Variant::BranchAvoiding),
+            None,
             &RunConfig::new().threads(2).cancel(&token),
         );
         assert_eq!(
@@ -806,6 +658,7 @@ mod tests {
             &g,
             0,
             BfsStrategy::Plain(Variant::BranchBased),
+            None,
             &RunConfig::new().threads(2).cancel(&token),
         );
         assert!(!based_outcome.is_completed());
@@ -820,6 +673,7 @@ mod tests {
             &g,
             0,
             BfsStrategy::DirectionOptimizing(DirectionConfig::default()),
+            None,
             &RunConfig::new().threads(4).cancel(&token),
         );
         assert!(outcome.is_completed());
@@ -832,6 +686,7 @@ mod tests {
             &g,
             0,
             BfsStrategy::Plain(Variant::BranchAvoiding),
+            None,
             &RunConfig::new().threads(2).cancel(&pre_cancelled),
         );
         assert_eq!(
@@ -852,6 +707,7 @@ mod tests {
                 &g,
                 0,
                 BfsStrategy::Plain(Variant::Auto),
+                None,
                 &RunConfig::new().threads(threads).grain(1),
             );
             assert!(outcome.is_completed());
@@ -866,6 +722,7 @@ mod tests {
             &g,
             0,
             BfsStrategy::Plain(Variant::Auto),
+            None,
             &RunConfig::new().threads(2),
         )
         .0;

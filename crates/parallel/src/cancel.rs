@@ -162,9 +162,9 @@ impl CancelToken {
     }
 }
 
-/// The engine-side helper: `None` tokens never stop (the path every plain
-/// `run`/`run_traced` entry point takes), `Some` tokens get the full
-/// check. Split out so every loop phrases its boundary check identically.
+/// The engine-side helper: `None` tokens never stop (the path every run
+/// without a token takes), `Some` tokens get the full check. Split out so
+/// every loop phrases its boundary check identically.
 pub(crate) fn check(cancel: Option<&CancelToken>, phases_done: usize) -> Option<RunOutcome> {
     let token = cancel?;
     token

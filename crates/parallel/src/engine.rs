@@ -60,9 +60,7 @@ use bga_kernels::bfs::direction_optimizing::DirectionConfig;
 use bga_kernels::bfs::frontier::Bitmap;
 use bga_kernels::bfs::INFINITY;
 use bga_kernels::stats::{RunCounters, StepCounters};
-use bga_obs::{
-    DecisionEvent, NoopSink, PhaseCounters, PhaseEvent, PhaseKind, TraceEvent, TraceSink,
-};
+use bga_obs::{DecisionEvent, PhaseCounters, PhaseEvent, PhaseKind, TraceEvent, TraceSink};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
@@ -494,65 +492,23 @@ impl<'a, G: AdjacencySource, E: Execute> LevelLoop<'a, G, E> {
     /// Distances are deterministic for every executor and grain: within a
     /// level every contender writes the same value, and the switching
     /// heuristic sees deterministic frontier sizes.
-    pub fn run<K: LevelKernel<G>>(
-        &self,
-        state: &TraversalState,
-        root: VertexId,
-        kernel: &K,
-    ) -> LevelRun {
-        self.run_traced(state, root, kernel, &NoopSink)
-    }
-
-    /// [`LevelLoop::run`] with a [`TraceSink`] observing the traversal:
-    /// one [`TraceEvent::Phase`] per expansion, carrying the direction the
-    /// level ran in, the frontier size it expanded, how many vertices it
-    /// discovered, the merged step counters (all-zero for untallied
-    /// kernels) and the wall-clock time of the expansion. With a
-    /// [`NoopSink`] this *is* [`LevelLoop::run`] — every emission site is
-    /// guarded by the sink's [`TraceSink::ENABLED`] constant, so the
-    /// untraced instantiation compiles to the same code and produces
-    /// bit-identical results.
-    pub fn run_traced<K: LevelKernel<G>, S: TraceSink>(
-        &self,
-        state: &TraversalState,
-        root: VertexId,
-        kernel: &K,
-        sink: &S,
-    ) -> LevelRun {
-        self.run_loop(state, root, kernel, sink, None).0
-    }
-
-    /// [`LevelLoop::run`] with a [`CancelToken`] checked at every level
-    /// boundary. An interrupted run returns the levels it completed — the
-    /// distances in `state` are valid monotone upper bounds, and `order` /
-    /// `level_bounds` cover exactly the levels that finished — together
-    /// with the [`RunOutcome`] saying why it stopped.
-    pub fn run_cancellable<K: LevelKernel<G>>(
-        &self,
-        state: &TraversalState,
-        root: VertexId,
-        kernel: &K,
-        cancel: &CancelToken,
-    ) -> (LevelRun, RunOutcome) {
-        self.run_loop(state, root, kernel, &NoopSink, Some(cancel))
-    }
-
-    /// [`LevelLoop::run_traced`] with a [`CancelToken`]: the traced,
-    /// cancellable driver. Phase events are emitted for completed levels
-    /// only, so the stream stays consistent with the returned run; the
-    /// caller's `run-end` trailer marks the interruption.
-    pub fn run_traced_cancellable<K: LevelKernel<G>, S: TraceSink>(
-        &self,
-        state: &TraversalState,
-        root: VertexId,
-        kernel: &K,
-        sink: &S,
-        cancel: &CancelToken,
-    ) -> (LevelRun, RunOutcome) {
-        self.run_loop(state, root, kernel, sink, Some(cancel))
-    }
-
-    pub(crate) fn run_loop<K: LevelKernel<G>, S: TraceSink>(
+    ///
+    /// `sink` observes the traversal: one [`TraceEvent::Phase`] per
+    /// expansion, carrying the direction the level ran in, the frontier
+    /// size it expanded, how many vertices it discovered, the merged step
+    /// counters (all-zero for untallied kernels) and the wall-clock time
+    /// of the expansion. Every emission site is guarded by the sink's
+    /// [`TraceSink::ENABLED`] constant, so with a [`bga_obs::NoopSink`]
+    /// the seam compiles out and the results are bit-identical.
+    ///
+    /// `cancel`, when given, is checked at every level boundary. An
+    /// interrupted run returns the levels it completed — the distances in
+    /// `state` are valid monotone upper bounds, `order` / `level_bounds`
+    /// cover exactly the levels that finished and phase events were
+    /// emitted for those levels only — together with the [`RunOutcome`]
+    /// saying why it stopped; the caller's `run-end` trailer marks the
+    /// interruption.
+    pub fn run<K: LevelKernel<G>, S: TraceSink>(
         &self,
         state: &TraversalState,
         root: VertexId,
@@ -834,86 +790,33 @@ impl<'a, W: WeightedAdjacencySource, E: Execute> BucketLoop<'a, W, E> {
     /// buckets in ascending order until every pending queue is empty. A
     /// source outside the vertex range yields an empty run, as in the
     /// sequential kernels.
-    pub fn run<K: BucketKernel<W>>(
-        &self,
-        state: &TraversalState,
-        source: VertexId,
-        kernel: &K,
-    ) -> BucketRun {
-        self.run_traced(state, source, kernel, &NoopSink)
-    }
-
-    /// [`BucketLoop::run`] with a [`TraceSink`] observing the bucket
-    /// schedule: one [`TraceEvent::Phase`] per dispatched pass —
-    /// [`PhaseKind::Light`] or [`PhaseKind::Heavy`], tagged with the
-    /// bucket index — carrying the pass's frontier size, the number of
-    /// *distinct* vertices it improved (deterministic, unlike raw claim
-    /// counts), the merged step counters and the pass's wall-clock time.
-    /// Non-improving heavy passes emit an event (they ran and cost time)
-    /// even though [`BucketRun::phases`] does not count them. With a
-    /// [`NoopSink`] this *is* [`BucketLoop::run`].
-    pub fn run_traced<K: BucketKernel<W>, S: TraceSink>(
-        &self,
-        state: &TraversalState,
-        source: VertexId,
-        kernel: &K,
-        sink: &S,
-    ) -> BucketRun {
-        self.run_loop(state, source, kernel, sink, None, false).0
-    }
-
-    /// [`BucketLoop::run`] with a [`CancelToken`] checked before every
-    /// dispatched pass. An interrupted run returns only the fully settled
-    /// buckets in `order` / `bucket_bounds` (a bucket cut mid-drain is
-    /// dropped from the settle order — its distances may still improve),
-    /// while the distances in `state` remain valid monotone upper bounds
-    /// for *every* vertex touched so far; [`BucketLoop::run_resumed`]
-    /// converges them to the uninterrupted fixpoint.
-    pub fn run_cancellable<K: BucketKernel<W>>(
-        &self,
-        state: &TraversalState,
-        source: VertexId,
-        kernel: &K,
-        cancel: &CancelToken,
-    ) -> (BucketRun, RunOutcome) {
-        self.run_loop(state, source, kernel, &NoopSink, Some(cancel), false)
-    }
-
-    /// [`BucketLoop::run_traced`] with a [`CancelToken`]: the traced,
-    /// cancellable driver. Phase events cover the dispatched passes only,
-    /// so the stream stays consistent; the caller's `run-end` trailer
-    /// marks the interruption.
-    pub fn run_traced_cancellable<K: BucketKernel<W>, S: TraceSink>(
-        &self,
-        state: &TraversalState,
-        source: VertexId,
-        kernel: &K,
-        sink: &S,
-        cancel: &CancelToken,
-    ) -> (BucketRun, RunOutcome) {
-        self.run_loop(state, source, kernel, sink, Some(cancel), false)
-    }
-
-    /// Resumes delta-stepping from partial state: every vertex with a
-    /// finite distance is re-filed as pending in the bucket of that
-    /// distance, and the loop runs to convergence from there. Because the
-    /// branch-avoiding relaxation is a monotone idempotent `fetch_min`,
-    /// resuming from any valid upper-bound state — in particular the state
-    /// an interrupted [`BucketLoop::run_cancellable`] left behind —
-    /// converges to distances bit-identical to an uninterrupted run.
-    /// (The settle order restarts from the resume point and is not
-    /// comparable to the uninterrupted order.)
-    pub fn run_resumed<K: BucketKernel<W>>(
-        &self,
-        state: &TraversalState,
-        source: VertexId,
-        kernel: &K,
-    ) -> BucketRun {
-        self.run_loop(state, source, kernel, &NoopSink, None, true)
-            .0
-    }
-
-    pub(crate) fn run_loop<K: BucketKernel<W>, S: TraceSink>(
+    ///
+    /// `sink` observes the bucket schedule: one [`TraceEvent::Phase`] per
+    /// dispatched pass — [`PhaseKind::Light`] or [`PhaseKind::Heavy`],
+    /// tagged with the bucket index — carrying the pass's frontier size,
+    /// the number of *distinct* vertices it improved (deterministic,
+    /// unlike raw claim counts), the merged step counters and the pass's
+    /// wall-clock time. Non-improving heavy passes emit an event (they ran
+    /// and cost time) even though [`BucketRun::phases`] does not count
+    /// them. With a [`bga_obs::NoopSink`] the seam compiles out.
+    ///
+    /// `cancel`, when given, is checked before every dispatched pass. An
+    /// interrupted run returns only the fully settled buckets in `order` /
+    /// `bucket_bounds` (a bucket cut mid-drain is dropped from the settle
+    /// order — its distances may still improve), while the distances in
+    /// `state` remain valid monotone upper bounds for *every* vertex
+    /// touched so far.
+    ///
+    /// With `resume` the state is taken as is instead of freshly reset:
+    /// every vertex with a finite distance is re-filed as pending in the
+    /// bucket of that distance, and the loop runs to convergence from
+    /// there. Because the branch-avoiding relaxation is a monotone
+    /// idempotent `fetch_min`, resuming from any valid upper-bound state —
+    /// in particular the state an interrupted run left behind — converges
+    /// to distances bit-identical to an uninterrupted run. (The settle
+    /// order restarts from the resume point and is not comparable to the
+    /// uninterrupted order.)
+    pub fn run<K: BucketKernel<W>, S: TraceSink>(
         &self,
         state: &TraversalState,
         source: VertexId,
@@ -1233,45 +1136,20 @@ impl<'a, G: AdjacencySource, E: Execute> SweepLoop<'a, G, E> {
     }
 
     /// Runs sweeps until the kernel reaches its fixpoint.
-    pub fn run<K: SweepKernel<G>>(&self, kernel: &K) -> SweepRun {
-        self.run_traced(kernel, &NoopSink)
-    }
-
-    /// [`SweepLoop::run`] with a [`TraceSink`] observing the fixpoint
-    /// iteration: one [`TraceEvent::Phase`] of kind [`PhaseKind::Sweep`]
-    /// per sweep, carrying the sweep domain size as `frontier`, the merged
-    /// change (update) count as `discovered`, whether the sweep changed
-    /// anything, the merged step counters and the sweep's wall-clock time.
-    /// With a [`NoopSink`] this *is* [`SweepLoop::run`].
-    pub fn run_traced<K: SweepKernel<G>, S: TraceSink>(&self, kernel: &K, sink: &S) -> SweepRun {
-        self.run_loop(kernel, sink, None).0
-    }
-
-    /// [`SweepLoop::run`] with a [`CancelToken`] checked at every sweep
-    /// boundary. An interrupted run reports the sweeps that completed; the
-    /// kernel's label state is whatever those sweeps left behind — for
-    /// monotone label-propagation kernels, valid upper bounds that a
-    /// fresh run over the same state converges to the same fixpoint.
-    pub fn run_cancellable<K: SweepKernel<G>>(
-        &self,
-        kernel: &K,
-        cancel: &CancelToken,
-    ) -> (SweepRun, RunOutcome) {
-        self.run_loop(kernel, &NoopSink, Some(cancel))
-    }
-
-    /// [`SweepLoop::run_traced`] with a [`CancelToken`]: the traced,
-    /// cancellable driver.
-    pub fn run_traced_cancellable<K: SweepKernel<G>, S: TraceSink>(
-        &self,
-        kernel: &K,
-        sink: &S,
-        cancel: &CancelToken,
-    ) -> (SweepRun, RunOutcome) {
-        self.run_loop(kernel, sink, Some(cancel))
-    }
-
-    pub(crate) fn run_loop<K: SweepKernel<G>, S: TraceSink>(
+    ///
+    /// `sink` observes the fixpoint iteration: one [`TraceEvent::Phase`]
+    /// of kind [`PhaseKind::Sweep`] per sweep, carrying the sweep domain
+    /// size as `frontier`, the merged change (update) count as
+    /// `discovered`, whether the sweep changed anything, the merged step
+    /// counters and the sweep's wall-clock time. With a
+    /// [`bga_obs::NoopSink`] the seam compiles out.
+    ///
+    /// `cancel`, when given, is checked at every sweep boundary. An
+    /// interrupted run reports the sweeps that completed; the kernel's
+    /// label state is whatever those sweeps left behind — for monotone
+    /// label-propagation kernels, valid upper bounds that a fresh run
+    /// over the same state converges to the same fixpoint.
+    pub fn run<K: SweepKernel<G>, S: TraceSink>(
         &self,
         kernel: &K,
         sink: &S,
@@ -1357,6 +1235,7 @@ mod tests {
     use crate::pool::{edge_balanced_ranges, ScopedExecutor, WorkerPool};
     use bga_graph::generators::{complete_graph, path_graph, star_graph};
     use bga_graph::{CsrGraph, GraphBuilder};
+    use bga_obs::NoopSink;
 
     /// The plain branch-avoiding BFS claim, used to exercise the loop
     /// seams directly without going through `bfs.rs`.
@@ -1393,7 +1272,13 @@ mod tests {
     ) -> (Vec<u32>, LevelRun) {
         let pool = WorkerPool::new(4);
         let state = TraversalState::new(graph.num_vertices());
-        let run = LevelLoop::new(graph, &pool, 1, config).run(&state, root, &ProbeKernel);
+        let (run, _) = LevelLoop::new(graph, &pool, 1, config).run(
+            &state,
+            root,
+            &ProbeKernel,
+            &NoopSink,
+            None,
+        );
         (state.into_distances(), run)
     }
 
@@ -1489,12 +1374,19 @@ mod tests {
         let scoped = ScopedExecutor::new(3);
         let state_a = TraversalState::new(g.num_vertices());
         let state_b = TraversalState::new(g.num_vertices());
-        let run_a =
-            LevelLoop::new(&g, &pool, 1, DirectionConfig::default()).run(&state_a, 0, &ProbeKernel);
-        let run_b = LevelLoop::new(&g, &scoped, 1, DirectionConfig::default()).run(
+        let (run_a, _) = LevelLoop::new(&g, &pool, 1, DirectionConfig::default()).run(
+            &state_a,
+            0,
+            &ProbeKernel,
+            &NoopSink,
+            None,
+        );
+        let (run_b, _) = LevelLoop::new(&g, &scoped, 1, DirectionConfig::default()).run(
             &state_b,
             0,
             &ProbeKernel,
+            &NoopSink,
+            None,
         );
         assert_eq!(state_a.into_distances(), state_b.into_distances());
         assert_eq!(run_a.level_bounds, run_b.level_bounds);
@@ -1720,7 +1612,14 @@ mod tests {
     ) -> (Vec<u32>, BucketRun) {
         let pool = WorkerPool::new(threads);
         let state = TraversalState::new(graph.num_vertices());
-        let run = BucketLoop::new(graph, &pool, 1, delta).run(&state, source, &ProbeRelax);
+        let (run, _) = BucketLoop::new(graph, &pool, 1, delta).run(
+            &state,
+            source,
+            &ProbeRelax,
+            &NoopSink,
+            None,
+            false,
+        );
         (state.into_distances(), run)
     }
 
@@ -1758,7 +1657,8 @@ mod tests {
         }
         let scoped = ScopedExecutor::new(4);
         let state = TraversalState::new(g.num_vertices());
-        let run = BucketLoop::new(&g, &scoped, 1, 4).run(&state, 0, &ProbeRelax);
+        let (run, _) =
+            BucketLoop::new(&g, &scoped, 1, 4).run(&state, 0, &ProbeRelax, &NoopSink, None, false);
         assert_eq!(state.into_distances(), reference.0);
         assert_eq!(run.order, reference.1.order);
         assert_eq!(run.phases, reference.1.phases);
@@ -1826,8 +1726,13 @@ mod tests {
         let pool = WorkerPool::new(2);
         let state = TraversalState::new(g.num_vertices());
         let cancel = CancelToken::new().with_phase_budget(5);
-        let (run, outcome) = LevelLoop::new(&g, &pool, 1, DirectionConfig::always_top_down())
-            .run_cancellable(&state, 0, &ProbeKernel, &cancel);
+        let (run, outcome) = LevelLoop::new(&g, &pool, 1, DirectionConfig::always_top_down()).run(
+            &state,
+            0,
+            &ProbeKernel,
+            &NoopSink,
+            Some(&cancel),
+        );
         assert_eq!(
             outcome,
             RunOutcome::Interrupted {
@@ -1856,8 +1761,13 @@ mod tests {
         let state = TraversalState::new(g.num_vertices());
         let cancel = CancelToken::new();
         cancel.cancel();
-        let (run, outcome) = LevelLoop::new(&g, &pool, 1, DirectionConfig::default())
-            .run_cancellable(&state, 0, &ProbeKernel, &cancel);
+        let (run, outcome) = LevelLoop::new(&g, &pool, 1, DirectionConfig::default()).run(
+            &state,
+            0,
+            &ProbeKernel,
+            &NoopSink,
+            Some(&cancel),
+        );
         assert!(!outcome.is_completed());
         assert!(run.directions.is_empty());
         // Only the root was initialised.
@@ -1872,14 +1782,21 @@ mod tests {
         let g = star_graph(40);
         let pool = WorkerPool::new(3);
         let state_plain = TraversalState::new(g.num_vertices());
-        let plain = LevelLoop::new(&g, &pool, 1, DirectionConfig::default()).run(
+        let (plain, _) = LevelLoop::new(&g, &pool, 1, DirectionConfig::default()).run(
             &state_plain,
             0,
             &ProbeKernel,
+            &NoopSink,
+            None,
         );
         let state_cancel = TraversalState::new(g.num_vertices());
-        let (run, outcome) = LevelLoop::new(&g, &pool, 1, DirectionConfig::default())
-            .run_cancellable(&state_cancel, 0, &ProbeKernel, &CancelToken::new());
+        let (run, outcome) = LevelLoop::new(&g, &pool, 1, DirectionConfig::default()).run(
+            &state_cancel,
+            0,
+            &ProbeKernel,
+            &NoopSink,
+            Some(&CancelToken::new()),
+        );
         assert_eq!(outcome, RunOutcome::Completed);
         assert_eq!(run.level_bounds, plain.level_bounds);
         assert_eq!(state_cancel.into_distances(), state_plain.into_distances());
@@ -1894,14 +1811,21 @@ mod tests {
         // The uninterrupted reference.
         let reference = {
             let state = TraversalState::new(g.num_vertices());
-            let run = BucketLoop::new(&g, &pool, 1, 4).run(&state, 0, &ProbeRelax);
+            let (run, _) = BucketLoop::new(&g, &pool, 1, 4).run(
+                &state,
+                0,
+                &ProbeRelax,
+                &NoopSink,
+                None,
+                false,
+            );
             (state.into_distances(), run)
         };
         // Cut the run after a handful of passes, then resume it.
         let state = TraversalState::new(g.num_vertices());
         let cancel = CancelToken::new().with_phase_budget(3);
         let loop_ = BucketLoop::new(&g, &pool, 1, 4);
-        let (partial, outcome) = loop_.run_cancellable(&state, 0, &ProbeRelax, &cancel);
+        let (partial, outcome) = loop_.run(&state, 0, &ProbeRelax, &NoopSink, Some(&cancel), false);
         assert!(!outcome.is_completed());
         // The budget bounds dispatched passes; one deferred heavy pass may
         // slip in between checks, but the run is genuinely cut short.
@@ -1918,7 +1842,7 @@ mod tests {
             &reference.1.order[..partial.order.len()]
         );
         // Resuming from the partial state converges bit-identically.
-        let resumed = loop_.run_resumed(&state, 0, &ProbeRelax);
+        let (resumed, _) = loop_.run(&state, 0, &ProbeRelax, &NoopSink, None, true);
         assert_eq!(state.into_distances(), reference.0);
         assert!(resumed.phases > 0);
     }
@@ -1931,7 +1855,7 @@ mod tests {
             .build();
         let pool = WorkerPool::new(2);
         let state = TraversalState::new(g.num_vertices());
-        BucketLoop::new(&g, &pool, 1, 2).run_resumed(&state, 0, &ProbeRelax);
+        BucketLoop::new(&g, &pool, 1, 2).run(&state, 0, &ProbeRelax, &NoopSink, None, true);
         assert_eq!(state.into_distances(), vec![0, 2, 4]);
     }
 
@@ -1961,7 +1885,7 @@ mod tests {
             rounds: AtomicUsize::new(0),
         };
         let cancel = CancelToken::new().with_phase_budget(4);
-        let (run, outcome) = SweepLoop::new(&g, &pool, 1).run_cancellable(&kernel, &cancel);
+        let (run, outcome) = SweepLoop::new(&g, &pool, 1).run(&kernel, &NoopSink, Some(&cancel));
         assert_eq!(
             outcome,
             RunOutcome::Interrupted {
@@ -2000,7 +1924,7 @@ mod tests {
         let kernel = Settling {
             rounds: AtomicUsize::new(0),
         };
-        let run = SweepLoop::new(&g, &pool, 1).run(&kernel);
+        let (run, _) = SweepLoop::new(&g, &pool, 1).run(&kernel, &NoopSink, None);
         assert_eq!(run.sweeps, 3);
         assert_eq!(run.counters.num_steps(), 0, "uninstrumented: no steps");
     }

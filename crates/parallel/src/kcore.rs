@@ -47,20 +47,16 @@ use crate::auto::{AutoState, Lane, SwitchNotice};
 use crate::cancel::{self, CancelToken, RunOutcome};
 use crate::counters::{collect_run, merge_thread_steps, ThreadTally};
 use crate::engine::{decision_event, frontier_degree_prefix};
-use crate::pool::{
-    balanced_prefix_ranges, effective_chunks_with_grain, even_ranges, Execute, PoolConfig,
-    PoolMonitor, WorkerPool,
-};
-use crate::request::{RunConfig, Variant};
-use crate::trace::{emit_degradation_warning, run_footprint, TraceRun};
+use crate::pool::{balanced_prefix_ranges, effective_chunks_with_grain, even_ranges, Execute};
+use crate::request::{ExecutorAxis, RunConfig, Variant};
+use crate::trace::{run_footprint, RunScope};
 use bga_graph::{AdjacencySource, VertexId};
 use bga_kernels::kcore::CoreDecomposition;
 use bga_kernels::stats::{RunCounters, StepCounters};
-use bga_obs::{NoopSink, PhaseCounters, PhaseEvent, PhaseKind, TraceEvent, TraceSink};
+use bga_obs::{PhaseCounters, PhaseEvent, PhaseKind, TraceEvent, TraceSink};
 use bga_perfmodel::advisor::AdvisorConfig;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Core value of a vertex that has not been peeled yet.
@@ -418,8 +414,8 @@ impl PeelControl for AutoPeel {
 /// sweep (frontier = scan domain, discovered = seeds collected) and one
 /// [`PhaseKind::Cascade`] phase per cascade round (frontier = discovered
 /// = vertices peeled this round), each carrying the merged dispatch
-/// counters and wall clock. With a [`NoopSink`] the emission sites
-/// compile out entirely.
+/// counters and wall clock. With a [`bga_obs::NoopSink`] the emission
+/// sites compile out entirely.
 fn peel_on<G: AdjacencySource, E: Execute, P: PeelControl, S: TraceSink>(
     graph: &G,
     exec: &E,
@@ -569,163 +565,60 @@ fn peel_on<G: AdjacencySource, E: Execute, P: PeelControl, S: TraceSink>(
     (cores, rounds, collect_run(steps), outcome)
 }
 
-/// The unified request driver behind [`crate::request::run_kcore`]:
-/// observed runs (trace sink or cancel token) go through the monitored
-/// driver, everything else through the unmonitored fast path with the
-/// tally compiled in or out by `config.instrumented`.
-pub(crate) fn run_request<G: AdjacencySource, S: TraceSink>(
+/// The one driver behind [`crate::request::run_kcore`]: picks the peel
+/// discipline and hands it to [`peel_on`] under the run's [`RunScope`].
+pub(crate) fn run_request<G: AdjacencySource, S: TraceSink, X: ExecutorAxis>(
     graph: &G,
     variant: Variant,
-    config: &RunConfig<'_, S>,
+    config: &RunConfig<'_, S, X>,
 ) -> (ParKcoreRun, RunOutcome) {
-    let pool_config = config.pool_config();
-    if config.observed() {
-        return par_kcore_run_impl(graph, &pool_config, variant, config.sink, config.cancel);
-    }
-    let pool = WorkerPool::with_config(&pool_config);
-    let grain = pool_config.grain;
-    let (cores, rounds, counters, outcome) = match (variant, config.instrumented) {
-        (Variant::BranchAvoiding, false) => peel_on(
-            graph,
-            &pool,
-            grain,
-            &StaticPeel::<true, false>,
-            &NoopSink,
-            None,
-        ),
-        (Variant::BranchAvoiding, true) => peel_on(
-            graph,
-            &pool,
-            grain,
-            &StaticPeel::<true, true>,
-            &NoopSink,
-            None,
-        ),
+    let scope = RunScope::open(config, |threads, grain| TraceEvent::RunStart {
+        kernel: "kcore".to_string(),
+        variant: variant.as_str().to_string(),
+        vertices: graph.num_vertices(),
+        edges: graph.num_edge_slots(),
+        threads,
+        grain,
+        delta: None,
+        root: None,
+        footprint: Some(run_footprint(graph.footprint())),
+    });
+    let (exec, grain, sink, cancel) = (scope.exec(), scope.grain, scope.sink(), scope.cancel);
+    let (cores, rounds, counters, outcome) = match (variant, scope.tally) {
+        (Variant::BranchAvoiding, false) => {
+            peel_on(graph, exec, grain, &StaticPeel::<true, false>, sink, cancel)
+        }
+        (Variant::BranchAvoiding, true) => {
+            peel_on(graph, exec, grain, &StaticPeel::<true, true>, sink, cancel)
+        }
         (Variant::BranchBased, false) => peel_on(
             graph,
-            &pool,
-            grain,
-            &StaticPeel::<false, false>,
-            &NoopSink,
-            None,
-        ),
-        (Variant::BranchBased, true) => peel_on(
-            graph,
-            &pool,
-            grain,
-            &StaticPeel::<false, true>,
-            &NoopSink,
-            None,
-        ),
-        (Variant::Auto, tally) => peel_on(graph, &pool, grain, &auto_peel(tally), &NoopSink, None),
-    };
-    (
-        ParKcoreRun {
-            cores,
-            counters,
-            threads: pool.threads(),
-            rounds,
-        },
-        outcome,
-    )
-}
-
-/// [`run_request`] on an explicit executor: plain kernels, the bench seam.
-pub(crate) fn run_request_on<G: AdjacencySource, E: Execute>(
-    graph: &G,
-    variant: Variant,
-    exec: &E,
-    grain: usize,
-) -> ParKcoreRun {
-    let (cores, rounds, counters, _) = match variant {
-        Variant::BranchAvoiding => peel_on(
-            graph,
-            exec,
-            grain,
-            &StaticPeel::<true, false>,
-            &NoopSink,
-            None,
-        ),
-        Variant::BranchBased => peel_on(
-            graph,
             exec,
             grain,
             &StaticPeel::<false, false>,
-            &NoopSink,
-            None,
+            sink,
+            cancel,
         ),
-        Variant::Auto => peel_on(graph, exec, grain, &auto_peel(false), &NoopSink, None),
+        (Variant::BranchBased, true) => {
+            peel_on(graph, exec, grain, &StaticPeel::<false, true>, sink, cancel)
+        }
+        (Variant::Auto, tally) => peel_on(graph, exec, grain, &auto_peel(tally), sink, cancel),
     };
-    ParKcoreRun {
+    scope.close(&outcome);
+    let result = ParKcoreRun {
         cores,
         counters,
-        threads: exec.parallelism(),
+        threads: scope.threads(),
         rounds,
-    }
-}
-
-/// Shared monitored driver behind the traced and cancellable k-core
-/// entry points: run header, cancellable peel, pool-degradation warning,
-/// metrics replay and an outcome-marked trailer.
-fn par_kcore_run_impl<G: AdjacencySource, S: TraceSink>(
-    graph: &G,
-    config: &PoolConfig,
-    variant: Variant,
-    sink: &S,
-    cancel: Option<&CancelToken>,
-) -> (ParKcoreRun, RunOutcome) {
-    let monitor = PoolMonitor::new();
-    let pool = WorkerPool::with_monitor(config.threads, Arc::clone(&monitor));
-    let scope = TraceRun::start(
-        sink,
-        TraceEvent::RunStart {
-            kernel: "kcore".to_string(),
-            variant: variant.as_str().to_string(),
-            vertices: graph.num_vertices(),
-            edges: graph.num_edge_slots(),
-            threads: pool.threads(),
-            grain: config.grain,
-            delta: None,
-            root: None,
-            footprint: Some(run_footprint(graph.footprint())),
-        },
-    );
-    let (cores, rounds, counters, outcome) = match variant {
-        Variant::BranchAvoiding => peel_on(
-            graph,
-            &pool,
-            config.grain,
-            &StaticPeel::<true, true>,
-            &scope,
-            cancel,
-        ),
-        Variant::BranchBased => peel_on(
-            graph,
-            &pool,
-            config.grain,
-            &StaticPeel::<false, true>,
-            &scope,
-            cancel,
-        ),
-        Variant::Auto => peel_on(graph, &pool, config.grain, &auto_peel(true), &scope, cancel),
     };
-    emit_degradation_warning(&pool, &scope);
-    scope.finish_with_outcome(Some(monitor.take_metrics()), &outcome);
-    (
-        ParKcoreRun {
-            cores,
-            counters,
-            threads: pool.threads(),
-            rounds,
-        },
-        outcome,
-    )
+    (result, outcome)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::ScopedExecutor;
+    use crate::cancel::CancelToken;
+    use crate::pool::{ScopedExecutor, WorkerPool};
     use bga_graph::generators::{
         barabasi_albert, complete_graph, cycle_graph, erdos_renyi_gnm, grid_2d, path_graph,
         star_graph, MeshStencil,
@@ -791,9 +684,11 @@ mod tests {
         let scoped = ScopedExecutor::new(4);
         // Grain 1 forces every seed sweep and cascade round to fan out.
         for grain in [1, 4096] {
+            let on_pool = RunConfig::new().on(&pool).grain(grain);
+            let on_scoped = RunConfig::new().on(&scoped).grain(grain);
             for variant in [Variant::BranchBased, Variant::BranchAvoiding] {
-                let pool_run = run_request_on(&g, variant, &pool, grain);
-                let scoped_run = run_request_on(&g, variant, &scoped, grain);
+                let pool_run = run_request(&g, variant, &on_pool).0;
+                let scoped_run = run_request(&g, variant, &on_scoped).0;
                 assert_eq!(pool_run.cores.as_slice(), expected.as_slice());
                 assert_eq!(scoped_run.cores.as_slice(), expected.as_slice());
                 // Cascade structure is deterministic, not just the values.

@@ -47,7 +47,7 @@
 //! * [`cancel`] — cooperative cancellation: a [`CancelToken`] (shared
 //!   flag, optional monotonic deadline, optional phase budget) checked by
 //!   every engine loop at phase boundaries, and the structured
-//!   [`RunOutcome`] cancellable entry points report. Interruption is cheap
+//!   [`RunOutcome`] every run reports. Interruption is cheap
 //!   *because* the kernels are branch-avoiding: monotone idempotent
 //!   updates leave partial state valid and resumable.
 //! * [`fault`] — deterministic fault injection for the robustness suite
@@ -62,22 +62,25 @@
 //!   the sequential kernels.
 //!
 //! Every kernel is driven through one front door: the [`request`] module.
-//! A [`request::RunConfig`] carries the run-shaping knobs (thread count,
-//! grain override, instrumentation, an optional [`bga_obs::TraceSink`],
-//! an optional [`CancelToken`]) and each kernel has a single typed entry
-//! point (`request::run_bfs`, `request::run_components`, ...) plus the
-//! dynamic [`request::run`] dispatch over a [`request::KernelRequest`].
-//! (The historical `par_*` free functions were removed; use the request
-//! API.)
+//! A [`request::RunConfig`] carries the run-shaping knobs (thread count
+//! or a borrowed executor via [`request::RunConfig::on`], grain override,
+//! instrumentation, an optional [`bga_obs::TraceSink`], an optional
+//! [`CancelToken`]) and each kernel has a single typed entry point
+//! (`request::run_bfs`, `request::run_components`, ...) over a single
+//! driver, plus the dynamic [`request::run`] dispatch over a
+//! [`request::KernelRequest`]. Counters are populated iff the config is
+//! instrumented or traced; a cancel token alone changes nothing but the
+//! phase-boundary check.
 //!
-//! Every engine loop also carries a [`bga_obs::TraceSink`] seam
-//! (`run_traced` on [`LevelLoop`], [`SweepLoop`] and [`BucketLoop`]); a
-//! traced request emits the full `bga-trace-v1` event stream — run
-//! header, one structured event per phase, worker-pool batch metrics from
-//! a monitored pool ([`pool::PoolMonitor`]) and a totals trailer. The
-//! sink is a const generic switch like the kernels' `TALLY`: instantiated
-//! with [`bga_obs::NoopSink`], every emission site compiles out and the
-//! traced paths are bit-identical to the untraced ones.
+//! Every engine loop has one `run(.., sink, cancel)` on [`LevelLoop`],
+//! [`SweepLoop`] and [`BucketLoop`], carrying a [`bga_obs::TraceSink`]
+//! seam and an optional [`CancelToken`]; a traced request emits the full
+//! `bga-trace-v1` event stream — run header, one structured event per
+//! phase, worker-pool batch metrics from a monitored pool
+//! ([`pool::PoolMonitor`]) and a totals trailer. The sink is a const
+//! generic switch like the kernels' `TALLY`: instantiated with
+//! [`bga_obs::NoopSink`], every emission site compiles out and the run is
+//! bit-identical to one that never heard of tracing.
 //!
 //! Results are deterministic where it matters: SV labels, BFS distances
 //! and betweenness scores are identical to the sequential kernels for

@@ -1,48 +1,62 @@
 //! The unified kernel-invocation API: one request + one config, one
 //! `run` per kernel.
 //!
-//! Historically every parallel kernel grew its own entry-point family
-//! along the `{variant, instrumented, traced, cancellable, executor}`
-//! axes — 19 `par_bfs_*` functions alone — which made multiplexing over
-//! the kernels (the `bga serve` scheduler, the CLI, the benches)
-//! combinatorial. This module collapses those axes into data:
+//! Every way a run can be shaped is data on a [`RunConfig`], and every
+//! kernel has exactly one driver behind its entry point — the same
+//! program whichever way the run is observed:
 //!
-//! * [`RunConfig`] — *how* to run: worker count, grain override,
-//!   instrumentation, an optional [`TraceSink`] and an optional
-//!   [`CancelToken`]. The sink stays a compile-time type parameter
-//!   (`TraceSink::ENABLED` is a `const`, deliberately not dyn-compatible)
-//!   so a default config compiles to exactly the untraced fast path.
+//! * [`RunConfig`] — *how* to run. Two axes are types, resolved at
+//!   compile time so a default config instantiates exactly the plain
+//!   kernels on a plain pool: the [`TraceSink`] ([`RunConfig::traced`];
+//!   `TraceSink::ENABLED` is a `const`, deliberately not dyn-compatible)
+//!   and the executor ([`RunConfig::on`] borrows the caller's
+//!   [`Execute`], otherwise the run builds its own [`WorkerPool`] — see
+//!   [`ExecutorAxis`]). Worker count, grain override, instrumentation
+//!   and the optional [`CancelToken`] are runtime data.
+//! * **The tally rule.** Counters are populated iff
+//!   [`RunConfig::instrumented`]`(true)` or a sink is attached; a cancel
+//!   token alone does not tally, monitor the pool or build a trace header
+//!   — a cancellable run is the plain run plus one check per phase
+//!   boundary.
 //! * [`KernelRequest`] — *what* to run: kernel, variant and its
 //!   kernel-specific arguments (root, delta, source set), an owned value
 //!   a server can parse off the wire and hold in a queue.
-//! * `run_*` — one typed dispatch per kernel
-//!   ([`run_components`], [`run_bfs`], [`run_kcore`],
-//!   [`run_betweenness`], [`run_sssp_unit`], [`run_sssp_weighted`]), plus
-//!   the dynamic [`run`] that serves a [`KernelRequest`] against any
-//!   [`AdjacencySource`] and returns a [`KernelOutput`].
+//! * `run_*` — one typed entry per kernel ([`run_components`],
+//!   [`run_bfs`], [`run_kcore`], [`run_betweenness`], [`run_sssp_unit`],
+//!   [`run_sssp_weighted`]), plus the dynamic [`run`] that serves a
+//!   [`KernelRequest`] against any [`AdjacencySource`] and returns a
+//!   [`KernelOutput`]. [`run_components_resumed`],
+//!   [`run_sssp_weighted_resumed`], [`run_bfs_with_state`], [`run_bfs_on`]
+//!   and [`run_bfs_reusing`] are one-line wrappers that hand the same
+//!   driver a starting state or an executor.
 //!
-//! The historical `par_*` free functions have been removed; these
-//! request functions are the only entry points. [`Variant::Auto`] adds
-//! runtime selection on top: the run samples its first phases
-//! instrumented and the [`bga_perfmodel::advisor`] picks the discipline
-//! for the rest.
+//! [`Variant::Auto`] adds runtime selection on top: the run samples its
+//! first phases instrumented and the [`bga_perfmodel::advisor`] picks the
+//! discipline for the rest.
 //!
 //! ```
 //! use bga_graph::generators::{grid_2d, MeshStencil};
 //! use bga_parallel::request::{run_bfs, BfsStrategy, RunConfig, Variant};
+//! use bga_parallel::WorkerPool;
 //!
 //! let g = grid_2d(16, 16, MeshStencil::VonNeumann);
-//! let cfg = RunConfig::new().threads(4);
-//! let (run, outcome) = run_bfs(&g, 0, BfsStrategy::Plain(Variant::BranchAvoiding), &cfg);
+//! let strategy = BfsStrategy::Plain(Variant::BranchAvoiding);
+//! // The run builds (and drops) its own four-thread pool ...
+//! let (run, outcome) = run_bfs(&g, 0, strategy, &RunConfig::new().threads(4));
 //! assert!(outcome.is_completed());
 //! assert_eq!(run.result.reached_count(), g.num_vertices());
+//! // ... or borrows a long-lived one.
+//! let pool = WorkerPool::new(4);
+//! let (again, _) = run_bfs(&g, 0, strategy, &RunConfig::new().on(&pool));
+//! assert_eq!(again.result.distances(), run.result.distances());
 //! ```
 
 use crate::bc::ParBcRun;
 use crate::bfs::ParDirBfsRun;
 use crate::cancel::{CancelToken, RunOutcome};
+use crate::engine::TraversalState;
 use crate::kcore::ParKcoreRun;
-use crate::pool::{Execute, PoolConfig};
+use crate::pool::{Execute, PoolConfig, WorkerPool};
 use crate::sssp::{ParSsspRun, ParWssspRun};
 use crate::sv::ParSvRun;
 use bga_graph::{AdjacencySource, VertexId, WeightedAdjacencySource};
@@ -115,24 +129,71 @@ impl BfsStrategy {
     }
 }
 
-/// How to run a kernel: the execution axes every `par_*` entry point used
-/// to hardcode, folded into one builder.
-///
-/// The defaults are the fast path: all cores, environment grain, no
-/// instrumentation, no trace, no cancellation. A [`TraceSink`] is a type
-/// parameter (not a trait object — [`TraceSink::ENABLED`] is a `const`
-/// the kernels compile against), so attaching one via [`RunConfig::traced`]
-/// rebinds the config's type; everything else is runtime data.
+/// The executor axis of a [`RunConfig`], carried in its type so the
+/// kernels are instantiated over the concrete [`Execute`] they fan out
+/// on: [`OwnPool`] (the default — the run builds a [`WorkerPool`] and
+/// drops it when it ends) or `&E` (set by [`RunConfig::on`] — the run
+/// borrows the caller's executor and leaves it alone).
+pub trait ExecutorAxis: Copy {
+    /// The executor type the kernels are instantiated over.
+    type Exec: Execute;
+
+    /// Whether the run builds (and owns) its pool.
+    const OWN_POOL: bool;
+
+    /// The executor the run fans out on: the pool the run built (`own`,
+    /// present exactly when [`ExecutorAxis::OWN_POOL`]) or the caller's.
+    fn executor<'s>(&'s self, own: Option<&'s WorkerPool>) -> &'s Self::Exec;
+}
+
+/// The default [`ExecutorAxis`]: the run builds its own [`WorkerPool`] of
+/// [`RunConfig::threads`] workers.
 #[derive(Clone, Copy, Debug)]
-pub struct RunConfig<'a, S: TraceSink = NoopSink> {
+pub struct OwnPool;
+
+impl ExecutorAxis for OwnPool {
+    type Exec = WorkerPool;
+    const OWN_POOL: bool = true;
+
+    fn executor<'s>(&'s self, own: Option<&'s WorkerPool>) -> &'s WorkerPool {
+        own.expect("an own-pool run builds its pool before it resolves the executor")
+    }
+}
+
+impl<E: Execute> ExecutorAxis for &E {
+    type Exec = E;
+    const OWN_POOL: bool = false;
+
+    fn executor<'s>(&'s self, _own: Option<&'s WorkerPool>) -> &'s E {
+        self
+    }
+}
+
+/// How to run a kernel, as one builder.
+///
+/// The defaults are the fast path: a pool of all cores built for the run,
+/// environment grain, no instrumentation, no trace, no cancellation. The
+/// [`TraceSink`] and the executor are type parameters (a sink's
+/// [`TraceSink::ENABLED`] is a `const` the kernels compile against; the
+/// executor is the [`Execute`] the loops are instantiated over), so
+/// [`RunConfig::traced`] and [`RunConfig::on`] rebind the config's type;
+/// everything else is runtime data.
+///
+/// Per-phase counters are populated iff [`RunConfig::instrumented`]`(true)`
+/// or a sink is attached. A [`CancelToken`] alone does not tally: a
+/// cancellable run executes the plain kernels and only adds the
+/// phase-boundary check.
+#[derive(Clone, Copy, Debug)]
+pub struct RunConfig<'a, S: TraceSink = NoopSink, X: ExecutorAxis = OwnPool> {
     pub(crate) threads: usize,
     pub(crate) grain: Option<usize>,
     pub(crate) instrumented: bool,
     pub(crate) sink: &'a S,
     pub(crate) cancel: Option<&'a CancelToken>,
+    pub(crate) exec: X,
 }
 
-impl RunConfig<'static, NoopSink> {
+impl RunConfig<'static, NoopSink, OwnPool> {
     /// The default configuration: every available core, grain from the
     /// environment, plain uninstrumented kernels.
     pub fn new() -> Self {
@@ -142,25 +203,28 @@ impl RunConfig<'static, NoopSink> {
             instrumented: false,
             sink: &NoopSink,
             cancel: None,
+            exec: OwnPool,
         }
     }
 }
 
-impl Default for RunConfig<'static, NoopSink> {
+impl Default for RunConfig<'static, NoopSink, OwnPool> {
     fn default() -> Self {
         RunConfig::new()
     }
 }
 
-impl<'a, S: TraceSink> RunConfig<'a, S> {
-    /// Worker-thread count; `0` (the default) uses every available core.
+impl<'a, S: TraceSink, X: ExecutorAxis> RunConfig<'a, S, X> {
+    /// Worker-thread count of the pool the run builds; `0` (the default)
+    /// uses every available core. Ignored after [`RunConfig::on`] — the
+    /// caller's executor has its own parallelism.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
     }
 
     /// Overrides the fan-out grain (minimum weight units before a
-    /// sweep/level dispatches to the pool) instead of reading
+    /// sweep/level dispatches to the executor) instead of reading
     /// [`crate::pool::GRAIN_ENV_VAR`].
     pub fn grain(mut self, grain: usize) -> Self {
         self.grain = Some(grain);
@@ -177,38 +241,47 @@ impl<'a, S: TraceSink> RunConfig<'a, S> {
 
     /// Attaches a [`TraceSink`] that receives the run's `bga-trace-v1`
     /// event stream; rebinds the config's sink type. A traced run always
-    /// tallies (phase counters are real) and monitors the pool.
-    pub fn traced<T: TraceSink>(self, sink: &'a T) -> RunConfig<'a, T> {
+    /// tallies (phase counters are real) and, when it builds its own
+    /// pool, monitors it (the stream carries the pool's batch records).
+    pub fn traced<T: TraceSink>(self, sink: &'a T) -> RunConfig<'a, T, X> {
         RunConfig {
             threads: self.threads,
             grain: self.grain,
             instrumented: self.instrumented,
             sink,
             cancel: self.cancel,
+            exec: self.exec,
         }
     }
 
     /// Attaches a [`CancelToken`] checked at every phase boundary; the
-    /// run reports how it ended through its [`RunOutcome`].
+    /// run reports how it ended through its [`RunOutcome`]. Nothing else
+    /// about the run changes.
     pub fn cancel(mut self, token: &'a CancelToken) -> Self {
         self.cancel = Some(token);
         self
     }
 
-    /// The resolved pool configuration this run will use.
-    pub(crate) fn pool_config(&self) -> PoolConfig {
-        let mut config = PoolConfig::from_env(self.threads);
-        if let Some(grain) = self.grain {
-            config.grain = grain;
+    /// Runs on the caller's executor instead of building a pool; rebinds
+    /// the config's executor type. The seam long-lived callers (`bga
+    /// serve`'s resident pool), the benchmarks and the forced-fan-out
+    /// tests use. A traced run on a borrowed executor carries no
+    /// `pool-batch` records: the pool's monitor, if any, is the caller's.
+    pub fn on<E: Execute>(self, exec: &'a E) -> RunConfig<'a, S, &'a E> {
+        RunConfig {
+            threads: self.threads,
+            grain: self.grain,
+            instrumented: self.instrumented,
+            sink: self.sink,
+            cancel: self.cancel,
+            exec,
         }
-        config
     }
 
-    /// Whether the run needs the monitored driver (trace emission or
-    /// cancellation checks); plain and instrumented-only runs take the
-    /// unmonitored fast path.
-    pub(crate) fn observed(&self) -> bool {
-        S::ENABLED || self.cancel.is_some()
+    /// The fan-out grain this run will use.
+    pub(crate) fn resolved_grain(&self) -> usize {
+        self.grain
+            .unwrap_or_else(|| PoolConfig::from_env(self.threads).grain)
     }
 }
 
@@ -318,10 +391,10 @@ impl std::fmt::Display for RequestError {
 impl std::error::Error for RequestError {}
 
 /// Parallel Shiloach-Vishkin connected components under `config`.
-pub fn run_components<G: AdjacencySource, S: TraceSink>(
+pub fn run_components<G: AdjacencySource, S: TraceSink, X: ExecutorAxis>(
     graph: &G,
     variant: Variant,
-    config: &RunConfig<'_, S>,
+    config: &RunConfig<'_, S, X>,
 ) -> (ParSvRun, RunOutcome) {
     crate::sv::run_request(graph, variant, None, config)
 }
@@ -329,37 +402,42 @@ pub fn run_components<G: AdjacencySource, S: TraceSink>(
 /// Resumes connected components from partial labels (typically the state
 /// an interrupted run returned): sweeps continue lowering the given
 /// labels instead of the identity and converge to the same fixpoint.
-pub fn run_components_resumed<G: AdjacencySource, S: TraceSink>(
+pub fn run_components_resumed<G: AdjacencySource, S: TraceSink, X: ExecutorAxis>(
     graph: &G,
     variant: Variant,
     labels: &ComponentLabels,
-    config: &RunConfig<'_, S>,
+    config: &RunConfig<'_, S, X>,
 ) -> (ParSvRun, RunOutcome) {
     crate::sv::run_request(graph, variant, Some(labels), config)
 }
 
-/// [`run_components`] on an explicit executor — the seam the benchmarks
-/// and forced-fan-out tests use. Plain kernels (no tally, no trace).
-pub fn run_components_on<G: AdjacencySource, E: Execute>(
-    graph: &G,
-    variant: Variant,
-    exec: &E,
-    grain: usize,
-) -> ParSvRun {
-    crate::sv::run_request_on(graph, variant, exec, grain)
-}
-
 /// Parallel BFS from `root` under `config`.
-pub fn run_bfs<G: AdjacencySource, S: TraceSink>(
+pub fn run_bfs<G: AdjacencySource, S: TraceSink, X: ExecutorAxis>(
     graph: &G,
     root: VertexId,
     strategy: BfsStrategy,
-    config: &RunConfig<'_, S>,
+    config: &RunConfig<'_, S, X>,
 ) -> (ParDirBfsRun, RunOutcome) {
-    crate::bfs::run_request(graph, root, strategy, config)
+    crate::bfs::run_request(graph, root, strategy, None, config)
 }
 
-/// [`run_bfs`] on an explicit executor; plain kernels.
+/// [`run_bfs`] in a caller-held [`TraversalState`] allocation: the state
+/// is reset in place before the traversal and the distances are
+/// snapshotted out, so a long-lived caller (the `bga serve` query loop)
+/// answers repeated BFS queries without reallocating the atomic arrays.
+/// The state must be sized for `graph`.
+pub fn run_bfs_with_state<G: AdjacencySource, S: TraceSink, X: ExecutorAxis>(
+    graph: &G,
+    root: VertexId,
+    strategy: BfsStrategy,
+    state: &mut TraversalState,
+    config: &RunConfig<'_, S, X>,
+) -> (ParDirBfsRun, RunOutcome) {
+    crate::bfs::run_request(graph, root, strategy, Some(state), config)
+}
+
+/// [`run_bfs`] on an explicit executor and grain — shorthand for
+/// `RunConfig::new().on(exec).grain(grain)`, kept for the benchmarks.
 pub fn run_bfs_on<G: AdjacencySource, E: Execute>(
     graph: &G,
     root: VertexId,
@@ -367,43 +445,36 @@ pub fn run_bfs_on<G: AdjacencySource, E: Execute>(
     exec: &E,
     grain: usize,
 ) -> ParDirBfsRun {
-    crate::bfs::run_request_on(graph, root, strategy, exec, grain)
+    run_bfs(
+        graph,
+        root,
+        strategy,
+        &RunConfig::new().on(exec).grain(grain),
+    )
+    .0
 }
 
-/// [`run_bfs_on`] reusing a caller-held
-/// [`TraversalState`](crate::engine::TraversalState) allocation: the
-/// state is reset in place before the traversal and the distances are
-/// snapshotted out, so a long-lived caller (the `bga serve` query loop)
-/// answers repeated BFS queries without reallocating the atomic arrays.
-/// The state must be sized for `graph`.
+/// [`run_bfs_with_state`] on an explicit executor and grain, kept for the
+/// benchmarks.
 pub fn run_bfs_reusing<G: AdjacencySource, E: Execute>(
     graph: &G,
     root: VertexId,
     strategy: BfsStrategy,
     exec: &E,
     grain: usize,
-    state: &mut crate::engine::TraversalState,
+    state: &mut TraversalState,
 ) -> ParDirBfsRun {
-    crate::bfs::run_request_reusing(graph, root, strategy, exec, grain, state)
+    let config = RunConfig::new().on(exec).grain(grain);
+    run_bfs_with_state(graph, root, strategy, state, &config).0
 }
 
 /// Parallel k-core decomposition under `config`.
-pub fn run_kcore<G: AdjacencySource, S: TraceSink>(
+pub fn run_kcore<G: AdjacencySource, S: TraceSink, X: ExecutorAxis>(
     graph: &G,
     variant: Variant,
-    config: &RunConfig<'_, S>,
+    config: &RunConfig<'_, S, X>,
 ) -> (ParKcoreRun, RunOutcome) {
     crate::kcore::run_request(graph, variant, config)
-}
-
-/// [`run_kcore`] on an explicit executor; plain kernels.
-pub fn run_kcore_on<G: AdjacencySource, E: Execute>(
-    graph: &G,
-    variant: Variant,
-    exec: &E,
-    grain: usize,
-) -> ParKcoreRun {
-    crate::kcore::run_request_on(graph, variant, exec, grain)
 }
 
 /// Parallel Brandes betweenness centrality under `config`. With
@@ -411,81 +482,47 @@ pub fn run_kcore_on<G: AdjacencySource, E: Execute>(
 /// accumulation; with an explicit source set they are the raw un-halved
 /// partial accumulation (see [`ParBcRun`] for the partial-result
 /// semantics under cancellation).
-pub fn run_betweenness<G: AdjacencySource, S: TraceSink>(
+pub fn run_betweenness<G: AdjacencySource, S: TraceSink, X: ExecutorAxis>(
     graph: &G,
     variant: Variant,
     sources: Option<&[VertexId]>,
-    config: &RunConfig<'_, S>,
+    config: &RunConfig<'_, S, X>,
 ) -> (ParBcRun, RunOutcome) {
     crate::bc::run_request(graph, variant, sources, config)
 }
 
-/// [`run_betweenness`] on an explicit executor; plain kernels.
-pub fn run_betweenness_on<G: AdjacencySource, E: Execute>(
-    graph: &G,
-    variant: Variant,
-    sources: Option<&[VertexId]>,
-    exec: &E,
-    grain: usize,
-) -> ParBcRun {
-    crate::bc::run_request_on(graph, variant, sources, exec, grain)
-}
-
 /// Parallel unit-weight SSSP from `root` under `config`.
-pub fn run_sssp_unit<G: AdjacencySource, S: TraceSink>(
+pub fn run_sssp_unit<G: AdjacencySource, S: TraceSink, X: ExecutorAxis>(
     graph: &G,
     root: VertexId,
     variant: Variant,
-    config: &RunConfig<'_, S>,
+    config: &RunConfig<'_, S, X>,
 ) -> (ParSsspRun, RunOutcome) {
     crate::sssp::run_unit_request(graph, root, variant, config)
 }
 
-/// [`run_sssp_unit`] on an explicit executor; plain kernels.
-pub fn run_sssp_unit_on<G: AdjacencySource, E: Execute>(
-    graph: &G,
-    root: VertexId,
-    variant: Variant,
-    exec: &E,
-    grain: usize,
-) -> ParSsspRun {
-    crate::sssp::run_unit_request_on(graph, root, variant, exec, grain)
-}
-
 /// Parallel weighted delta-stepping SSSP from `root` under `config`.
-pub fn run_sssp_weighted<W: WeightedAdjacencySource, S: TraceSink>(
+pub fn run_sssp_weighted<W: WeightedAdjacencySource, S: TraceSink, X: ExecutorAxis>(
     graph: &W,
     root: VertexId,
     delta: u32,
     variant: Variant,
-    config: &RunConfig<'_, S>,
+    config: &RunConfig<'_, S, X>,
 ) -> (ParWssspRun, RunOutcome) {
     crate::sssp::run_weighted_request(graph, root, delta, variant, None, config)
 }
 
 /// Resumes weighted delta-stepping from the partial distances an
 /// interrupted run returned; bit-identical to an uninterrupted run.
-pub fn run_sssp_weighted_resumed<W: WeightedAdjacencySource, S: TraceSink>(
+pub fn run_sssp_weighted_resumed<W: WeightedAdjacencySource, S: TraceSink, X: ExecutorAxis>(
     graph: &W,
     root: VertexId,
     delta: u32,
     variant: Variant,
     distances: &[u32],
-    config: &RunConfig<'_, S>,
+    config: &RunConfig<'_, S, X>,
 ) -> (ParWssspRun, RunOutcome) {
     crate::sssp::run_weighted_request(graph, root, delta, variant, Some(distances), config)
-}
-
-/// [`run_sssp_weighted`] on an explicit executor; plain kernels.
-pub fn run_sssp_weighted_on<W: WeightedAdjacencySource, E: Execute>(
-    graph: &W,
-    root: VertexId,
-    delta: u32,
-    variant: Variant,
-    exec: &E,
-    grain: usize,
-) -> ParWssspRun {
-    crate::sssp::run_weighted_request_on(graph, root, delta, variant, exec, grain)
 }
 
 /// Dispatches a [`KernelRequest`] against an unweighted adjacency source
@@ -493,10 +530,10 @@ pub fn run_sssp_weighted_on<W: WeightedAdjacencySource, E: Execute>(
 /// Weighted requests need weights the source does not carry and are
 /// refused with [`RequestError::RequiresWeights`]; serve them through
 /// [`run_sssp_weighted`].
-pub fn run<G: AdjacencySource, S: TraceSink>(
+pub fn run<G: AdjacencySource, S: TraceSink, X: ExecutorAxis>(
     graph: &G,
     request: &KernelRequest,
-    config: &RunConfig<'_, S>,
+    config: &RunConfig<'_, S, X>,
 ) -> Result<(KernelOutput, RunOutcome), RequestError> {
     Ok(match request {
         KernelRequest::Components { variant } => {

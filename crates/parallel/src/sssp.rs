@@ -37,14 +37,13 @@
 
 use crate::auto::AutoSwitch;
 use crate::bfs::{auto_level, BranchAvoidingLevel, BranchBasedLevel};
-use crate::cancel::{CancelToken, RunOutcome};
+use crate::cancel::RunOutcome;
 use crate::counters::ThreadTally;
 use crate::engine::{
     BucketCtx, BucketKernel, BucketLoop, Direction, EdgeClass, LevelLoop, TraversalState,
 };
-use crate::pool::{Execute, PoolConfig, PoolMonitor, WorkerPool};
-use crate::request::{RunConfig, Variant};
-use crate::trace::{emit_degradation_warning, run_footprint, TraceRun};
+use crate::request::{ExecutorAxis, RunConfig, Variant};
+use crate::trace::{run_footprint, RunScope};
 use bga_graph::{AdjacencySource, VertexId, WeightedAdjacencySource};
 use bga_kernels::bfs::direction_optimizing::DirectionConfig;
 use bga_kernels::bfs::INFINITY;
@@ -54,7 +53,6 @@ use bga_obs::{TraceEvent, TraceSink};
 use bga_perfmodel::advisor::AdvisorConfig;
 use std::ops::Range;
 use std::sync::atomic::Ordering::Relaxed;
-use std::sync::Arc;
 
 /// Which per-edge relaxation discipline a parallel SSSP run uses. Both
 /// settle identical distances; they differ only in the instruction mix,
@@ -71,7 +69,7 @@ pub struct ParSsspRun {
     /// bottom-up bitmap pull).
     pub directions: Vec<Direction>,
     /// Per-phase counters merged across worker threads — populated only
-    /// on instrumented/observed runs, empty otherwise.
+    /// on instrumented or traced runs, empty otherwise.
     pub counters: RunCounters,
     /// Worker count the run actually used.
     pub threads: usize,
@@ -87,126 +85,51 @@ impl ParSsspRun {
     }
 }
 
-/// The unified unit-weight request driver behind
-/// [`crate::request::run_sssp_unit`]: observed runs (trace sink or cancel
-/// token) go through the monitored driver, everything else through the
-/// unmonitored fast path with the tally compiled in or out by
-/// `config.instrumented`.
-pub(crate) fn run_unit_request<G: AdjacencySource, S: TraceSink>(
+/// The one unit-weight driver behind [`crate::request::run_sssp_unit`]:
+/// the BFS level kernels under the default direction schedule.
+pub(crate) fn run_unit_request<G: AdjacencySource, S: TraceSink, X: ExecutorAxis>(
     graph: &G,
     source: VertexId,
     variant: Variant,
-    config: &RunConfig<'_, S>,
+    config: &RunConfig<'_, S, X>,
 ) -> (ParSsspRun, RunOutcome) {
-    let pool_config = config.pool_config();
-    if config.observed() {
-        return par_sssp_unit_run_impl(
-            graph,
-            source,
-            &pool_config,
-            variant,
-            config.sink,
-            config.cancel,
-        );
-    }
-    let pool = WorkerPool::with_config(&pool_config);
+    let scope = RunScope::open(config, |threads, grain| TraceEvent::RunStart {
+        kernel: "sssp".to_string(),
+        variant: variant.as_str().to_string(),
+        vertices: graph.num_vertices(),
+        edges: graph.num_edge_slots(),
+        threads,
+        grain,
+        delta: None,
+        root: Some(source),
+        footprint: Some(run_footprint(graph.footprint())),
+    });
     let state = TraversalState::new(graph.num_vertices());
-    let level_loop = LevelLoop::new(graph, &pool, pool_config.grain, DirectionConfig::default());
-    let run = match (variant, config.instrumented) {
+    let level_loop = LevelLoop::new(graph, scope.exec(), scope.grain, DirectionConfig::default());
+    let (sink, cancel) = (scope.sink(), scope.cancel);
+    let (run, outcome) = match (variant, scope.tally) {
         (Variant::BranchAvoiding, false) => {
-            level_loop.run(&state, source, &BranchAvoidingLevel::<false>)
+            level_loop.run(&state, source, &BranchAvoidingLevel::<false>, sink, cancel)
         }
         (Variant::BranchAvoiding, true) => {
-            level_loop.run(&state, source, &BranchAvoidingLevel::<true>)
+            level_loop.run(&state, source, &BranchAvoidingLevel::<true>, sink, cancel)
         }
-        (Variant::BranchBased, false) => level_loop.run(&state, source, &BranchBasedLevel::<false>),
-        (Variant::BranchBased, true) => level_loop.run(&state, source, &BranchBasedLevel::<true>),
-        (Variant::Auto, tally) => level_loop.run(&state, source, &auto_level(tally)),
+        (Variant::BranchBased, false) => {
+            level_loop.run(&state, source, &BranchBasedLevel::<false>, sink, cancel)
+        }
+        (Variant::BranchBased, true) => {
+            level_loop.run(&state, source, &BranchBasedLevel::<true>, sink, cancel)
+        }
+        (Variant::Auto, tally) => level_loop.run(&state, source, &auto_level(tally), sink, cancel),
     };
-    (
-        ParSsspRun {
-            result: SsspResult::new(state.into_distances(), run.directions.len()),
-            directions: run.directions,
-            counters: run.counters,
-            threads: pool.threads(),
-        },
-        RunOutcome::Completed,
-    )
-}
-
-/// [`run_unit_request`] on an explicit executor: plain kernels, the bench
-/// seam.
-pub(crate) fn run_unit_request_on<G: AdjacencySource, E: Execute>(
-    graph: &G,
-    source: VertexId,
-    variant: Variant,
-    exec: &E,
-    grain: usize,
-) -> ParSsspRun {
-    let state = TraversalState::new(graph.num_vertices());
-    let level_loop = LevelLoop::new(graph, exec, grain, DirectionConfig::default());
-    let run = match variant {
-        Variant::BranchAvoiding => level_loop.run(&state, source, &BranchAvoidingLevel::<false>),
-        Variant::BranchBased => level_loop.run(&state, source, &BranchBasedLevel::<false>),
-        Variant::Auto => level_loop.run(&state, source, &auto_level(false)),
-    };
-    ParSsspRun {
+    scope.close(&outcome);
+    let result = ParSsspRun {
         result: SsspResult::new(state.into_distances(), run.directions.len()),
         directions: run.directions,
         counters: run.counters,
-        threads: exec.parallelism(),
-    }
-}
-
-/// Shared monitored driver behind the traced and cancellable unit-weight
-/// entry points: run header, cancellable level loop, pool-degradation
-/// warning, metrics replay and an outcome-marked trailer.
-fn par_sssp_unit_run_impl<G: AdjacencySource, S: TraceSink>(
-    graph: &G,
-    source: VertexId,
-    config: &PoolConfig,
-    variant: Variant,
-    sink: &S,
-    cancel: Option<&CancelToken>,
-) -> (ParSsspRun, RunOutcome) {
-    let monitor = PoolMonitor::new();
-    let pool = WorkerPool::with_monitor(config.threads, Arc::clone(&monitor));
-    let scope = TraceRun::start(
-        sink,
-        TraceEvent::RunStart {
-            kernel: "sssp".to_string(),
-            variant: variant.as_str().to_string(),
-            vertices: graph.num_vertices(),
-            edges: graph.num_edge_slots(),
-            threads: pool.threads(),
-            grain: config.grain,
-            delta: None,
-            root: Some(source),
-            footprint: Some(run_footprint(graph.footprint())),
-        },
-    );
-    let state = TraversalState::new(graph.num_vertices());
-    let level_loop = LevelLoop::new(graph, &pool, config.grain, DirectionConfig::default());
-    let (run, outcome) = match variant {
-        SsspVariant::BranchAvoiding => {
-            level_loop.run_loop(&state, source, &BranchAvoidingLevel::<true>, &scope, cancel)
-        }
-        SsspVariant::BranchBased => {
-            level_loop.run_loop(&state, source, &BranchBasedLevel::<true>, &scope, cancel)
-        }
-        SsspVariant::Auto => level_loop.run_loop(&state, source, &auto_level(true), &scope, cancel),
+        threads: scope.threads(),
     };
-    emit_degradation_warning(&pool, &scope);
-    scope.finish_with_outcome(Some(monitor.take_metrics()), &outcome);
-    (
-        ParSsspRun {
-            result: SsspResult::new(state.into_distances(), run.directions.len()),
-            directions: run.directions,
-            counters: run.counters,
-            threads: pool.threads(),
-        },
-        outcome,
-    )
+    (result, outcome)
 }
 
 /// Branch-avoiding weighted relaxation: one unconditional `fetch_min` per
@@ -359,7 +282,7 @@ pub struct ParWssspRun {
     /// How many of the phases were heavy passes.
     pub heavy_phases: usize,
     /// Per-phase counters merged across worker threads — populated only
-    /// on instrumented/observed runs, empty otherwise.
+    /// on instrumented or traced runs, empty otherwise.
     pub counters: RunCounters,
     /// Worker count the run actually used.
     pub threads: usize,
@@ -387,162 +310,89 @@ fn auto_relax(
     )
 }
 
-/// The unified weighted request driver behind
-/// [`crate::request::run_sssp_weighted`]: observed runs (trace sink,
-/// cancel token or resume distances) go through the monitored driver,
-/// everything else through the unmonitored fast path with the tally
-/// compiled in or out by `config.instrumented`.
-pub(crate) fn run_weighted_request<W: WeightedAdjacencySource, S: TraceSink>(
-    graph: &W,
-    source: VertexId,
-    delta: u32,
-    variant: Variant,
-    initial: Option<&[u32]>,
-    config: &RunConfig<'_, S>,
-) -> (ParWssspRun, RunOutcome) {
-    let pool_config = config.pool_config();
-    if config.observed() || initial.is_some() {
-        return par_sssp_weighted_run_impl(
-            graph,
-            source,
-            delta,
-            &pool_config,
-            variant,
-            initial,
-            config.sink,
-            config.cancel,
-        );
-    }
-    let pool = WorkerPool::with_config(&pool_config);
-    let state = TraversalState::new(graph.num_vertices());
-    let bucket_loop = BucketLoop::new(graph, &pool, pool_config.grain, delta);
-    let run = match (variant, config.instrumented) {
-        (Variant::BranchAvoiding, false) => {
-            bucket_loop.run(&state, source, &BranchAvoidingRelax::<false>)
-        }
-        (Variant::BranchAvoiding, true) => {
-            bucket_loop.run(&state, source, &BranchAvoidingRelax::<true>)
-        }
-        (Variant::BranchBased, false) => {
-            bucket_loop.run(&state, source, &BranchBasedRelax::<false>)
-        }
-        (Variant::BranchBased, true) => bucket_loop.run(&state, source, &BranchBasedRelax::<true>),
-        (Variant::Auto, tally) => bucket_loop.run(&state, source, &auto_relax(tally)),
-    };
-    (
-        ParWssspRun {
-            result: SsspResult::new(state.into_distances(), run.phases),
-            buckets_settled: run.bucket_bounds.len(),
-            heavy_phases: run.heavy_phases,
-            counters: run.counters,
-            threads: pool.threads(),
-        },
-        RunOutcome::Completed,
-    )
-}
-
-/// [`run_weighted_request`] on an explicit executor: plain kernels, the
-/// bench seam.
-pub(crate) fn run_weighted_request_on<W: WeightedAdjacencySource, E: Execute>(
-    graph: &W,
-    source: VertexId,
-    delta: u32,
-    variant: Variant,
-    exec: &E,
-    grain: usize,
-) -> ParWssspRun {
-    let state = TraversalState::new(graph.num_vertices());
-    let bucket_loop = BucketLoop::new(graph, exec, grain, delta);
-    let run = match variant {
-        Variant::BranchAvoiding => bucket_loop.run(&state, source, &BranchAvoidingRelax::<false>),
-        Variant::BranchBased => bucket_loop.run(&state, source, &BranchBasedRelax::<false>),
-        Variant::Auto => bucket_loop.run(&state, source, &auto_relax(false)),
-    };
-    ParWssspRun {
-        result: SsspResult::new(state.into_distances(), run.phases),
-        buckets_settled: run.bucket_bounds.len(),
-        heavy_phases: run.heavy_phases,
-        counters: run.counters,
-        threads: exec.parallelism(),
-    }
-}
-
-/// Shared monitored driver behind the traced, cancellable and resumed
-/// weighted entry points. With `initial` distances the bucket loop
+/// The one weighted driver behind [`crate::request::run_sssp_weighted`]
+/// and its resumed form. With `initial` distances the bucket loop
 /// re-files every finite-distance vertex and converges from that
 /// upper-bound state instead of starting at the source.
-#[allow(clippy::too_many_arguments)]
-fn par_sssp_weighted_run_impl<W: WeightedAdjacencySource, S: TraceSink>(
+pub(crate) fn run_weighted_request<W: WeightedAdjacencySource, S: TraceSink, X: ExecutorAxis>(
     graph: &W,
     source: VertexId,
     delta: u32,
-    config: &PoolConfig,
     variant: Variant,
     initial: Option<&[u32]>,
-    sink: &S,
-    cancel: Option<&CancelToken>,
+    config: &RunConfig<'_, S, X>,
 ) -> (ParWssspRun, RunOutcome) {
-    let monitor = PoolMonitor::new();
-    let pool = WorkerPool::with_monitor(config.threads, Arc::clone(&monitor));
-    let scope = TraceRun::start(
-        sink,
-        TraceEvent::RunStart {
-            kernel: "sssp-weighted".to_string(),
-            variant: variant.as_str().to_string(),
-            vertices: graph.num_vertices(),
-            edges: graph.num_edge_slots(),
-            threads: pool.threads(),
-            grain: config.grain,
-            delta: Some(delta),
-            root: Some(source),
-            footprint: Some(run_footprint(graph.footprint())),
-        },
-    );
+    let scope = RunScope::open(config, |threads, grain| TraceEvent::RunStart {
+        kernel: "sssp-weighted".to_string(),
+        variant: variant.as_str().to_string(),
+        vertices: graph.num_vertices(),
+        edges: graph.num_edge_slots(),
+        threads,
+        grain,
+        delta: Some(delta),
+        root: Some(source),
+        footprint: Some(run_footprint(graph.footprint())),
+    });
     let resume = initial.is_some();
     let state = match initial {
         Some(distances) => TraversalState::from_distances(distances),
         None => TraversalState::new(graph.num_vertices()),
     };
-    let bucket_loop = BucketLoop::new(graph, &pool, config.grain, delta);
-    let (run, outcome) = match variant {
-        SsspVariant::BranchAvoiding => bucket_loop.run_loop(
+    let bucket_loop = BucketLoop::new(graph, scope.exec(), scope.grain, delta);
+    let (sink, cancel) = (scope.sink(), scope.cancel);
+    let (run, outcome) = match (variant, scope.tally) {
+        (Variant::BranchAvoiding, false) => bucket_loop.run(
+            &state,
+            source,
+            &BranchAvoidingRelax::<false>,
+            sink,
+            cancel,
+            resume,
+        ),
+        (Variant::BranchAvoiding, true) => bucket_loop.run(
             &state,
             source,
             &BranchAvoidingRelax::<true>,
-            &scope,
+            sink,
             cancel,
             resume,
         ),
-        SsspVariant::BranchBased => bucket_loop.run_loop(
+        (Variant::BranchBased, false) => bucket_loop.run(
+            &state,
+            source,
+            &BranchBasedRelax::<false>,
+            sink,
+            cancel,
+            resume,
+        ),
+        (Variant::BranchBased, true) => bucket_loop.run(
             &state,
             source,
             &BranchBasedRelax::<true>,
-            &scope,
+            sink,
             cancel,
             resume,
         ),
-        SsspVariant::Auto => {
-            bucket_loop.run_loop(&state, source, &auto_relax(true), &scope, cancel, resume)
+        (Variant::Auto, tally) => {
+            bucket_loop.run(&state, source, &auto_relax(tally), sink, cancel, resume)
         }
     };
-    emit_degradation_warning(&pool, &scope);
-    scope.finish_with_outcome(Some(monitor.take_metrics()), &outcome);
-    (
-        ParWssspRun {
-            result: SsspResult::new(state.into_distances(), run.phases),
-            buckets_settled: run.bucket_bounds.len(),
-            heavy_phases: run.heavy_phases,
-            counters: run.counters,
-            threads: pool.threads(),
-        },
-        outcome,
-    )
+    scope.close(&outcome);
+    let result = ParWssspRun {
+        result: SsspResult::new(state.into_distances(), run.phases),
+        buckets_settled: run.bucket_bounds.len(),
+        heavy_phases: run.heavy_phases,
+        counters: run.counters,
+        threads: scope.threads(),
+    };
+    (result, outcome)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::ScopedExecutor;
+    use crate::cancel::CancelToken;
+    use crate::pool::{ScopedExecutor, WorkerPool};
     use bga_graph::generators::{
         barabasi_albert, complete_graph, grid_2d, path_graph, star_graph, MeshStencil,
     };
@@ -673,13 +523,15 @@ mod tests {
         let scoped = ScopedExecutor::new(4);
         // Grain 1 forces every settling phase to fan out.
         for grain in [1, 64, 4096] {
+            let on_pool = RunConfig::new().on(&pool).grain(grain);
             for variant in [SsspVariant::BranchBased, SsspVariant::BranchAvoiding] {
-                let run = run_unit_request_on(&g, 0, variant, &pool, grain).result;
+                let run = run_unit_request(&g, 0, variant, &on_pool).0.result;
                 assert_eq!(run.distances(), expected.distances());
                 assert_eq!(run.phases(), expected.phases());
             }
-            let run = run_unit_request_on(&g, 0, Variant::BranchAvoiding, &scoped, grain).result;
-            assert_eq!(run.distances(), expected.distances());
+            let on_scoped = RunConfig::new().on(&scoped).grain(grain);
+            let run = run_unit_request(&g, 0, Variant::BranchAvoiding, &on_scoped).0;
+            assert_eq!(run.result.distances(), expected.distances());
         }
     }
 
@@ -797,13 +649,14 @@ mod tests {
         let scoped = ScopedExecutor::new(4);
         // Grain 1 forces every relaxation pass to fan out.
         for grain in [1, 64, 4096] {
+            let on_pool = RunConfig::new().on(&pool).grain(grain);
             for variant in [SsspVariant::BranchBased, SsspVariant::BranchAvoiding] {
-                let run = run_weighted_request_on(&wg, 0, 4, variant, &pool, grain).result;
-                assert_eq!(run.distances(), expected.distances());
+                let run = run_weighted_request(&wg, 0, 4, variant, None, &on_pool).0;
+                assert_eq!(run.result.distances(), expected.distances());
             }
-            let run =
-                run_weighted_request_on(&wg, 0, 4, Variant::BranchAvoiding, &scoped, grain).result;
-            assert_eq!(run.distances(), expected.distances());
+            let on_scoped = RunConfig::new().on(&scoped).grain(grain);
+            let run = run_weighted_request(&wg, 0, 4, Variant::BranchAvoiding, None, &on_scoped).0;
+            assert_eq!(run.result.distances(), expected.distances());
         }
     }
 

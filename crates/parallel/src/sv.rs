@@ -31,12 +31,11 @@
 //! the intra-sweep interleaving may differ.
 
 use crate::auto::AutoSwitch;
-use crate::cancel::{CancelToken, RunOutcome};
+use crate::cancel::RunOutcome;
 use crate::counters::ThreadTally;
 use crate::engine::{SweepKernel, SweepLoop};
-use crate::pool::{Execute, PoolConfig, PoolMonitor, WorkerPool};
-use crate::request::{RunConfig, Variant};
-use crate::trace::{emit_degradation_warning, run_footprint, TraceRun};
+use crate::request::{ExecutorAxis, RunConfig, Variant};
+use crate::trace::{run_footprint, RunScope};
 use bga_graph::AdjacencySource;
 use bga_kernels::cc::ComponentLabels;
 use bga_kernels::stats::RunCounters;
@@ -44,7 +43,6 @@ use bga_obs::{TraceEvent, TraceSink};
 use bga_perfmodel::advisor::AdvisorConfig;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
-use std::sync::Arc;
 
 /// Result of a parallel SV run.
 #[derive(Clone, Debug)]
@@ -55,7 +53,7 @@ pub struct ParSvRun {
     /// sweep that changed nothing.
     pub sweeps: usize,
     /// Per-sweep counters merged across worker threads — populated only
-    /// on instrumented/observed runs, empty otherwise.
+    /// on instrumented or traced runs, empty otherwise.
     pub counters: RunCounters,
     /// Worker count the run actually used.
     pub threads: usize,
@@ -200,101 +198,27 @@ impl<G: AdjacencySource, const TALLY: bool> SweepKernel<G> for BranchAvoidingSwe
     }
 }
 
-/// The unified request driver behind [`crate::request::run_components`]:
-/// routes observed runs (trace sink or cancel token) and resumes through
-/// the monitored driver, everything else through the unmonitored fast
-/// path with the tally compiled in or out by `config.instrumented`.
-pub(crate) fn run_request<G: AdjacencySource, S: TraceSink>(
+/// The one driver behind [`crate::request::run_components`] and its
+/// resumed form. `initial` labels (instead of the identity) are how an
+/// interrupted run is resumed; everything else about the run — executor,
+/// tally, trace, cancellation — is the [`RunScope`]'s.
+pub(crate) fn run_request<G: AdjacencySource, S: TraceSink, X: ExecutorAxis>(
     graph: &G,
     variant: Variant,
     initial: Option<&ComponentLabels>,
-    config: &RunConfig<'_, S>,
+    config: &RunConfig<'_, S, X>,
 ) -> (ParSvRun, RunOutcome) {
-    let pool_config = config.pool_config();
-    if config.observed() || initial.is_some() {
-        return par_sv_run_impl(
-            graph,
-            &pool_config,
-            variant,
-            initial,
-            config.sink,
-            config.cancel,
-        );
-    }
-    let pool = WorkerPool::with_config(&pool_config);
-    let ccid = identity_labels(graph.num_vertices());
-    let sweep_loop = SweepLoop::new(graph, &pool, pool_config.grain);
-    let run = match (variant, config.instrumented) {
-        (Variant::BranchAvoiding, false) => {
-            sweep_loop.run(&BranchAvoidingSweep::<false> { ccid: &ccid })
-        }
-        (Variant::BranchAvoiding, true) => {
-            sweep_loop.run(&BranchAvoidingSweep::<true> { ccid: &ccid })
-        }
-        (Variant::BranchBased, false) => sweep_loop.run(&BranchBasedSweep::<false> { ccid: &ccid }),
-        (Variant::BranchBased, true) => sweep_loop.run(&BranchBasedSweep::<true> { ccid: &ccid }),
-        (Variant::Auto, tally) => sweep_loop.run(&auto_sweep(&ccid, tally)),
-    };
-    (
-        ParSvRun {
-            labels: into_labels(ccid),
-            sweeps: run.sweeps,
-            counters: run.counters,
-            threads: pool.threads(),
-        },
-        RunOutcome::Completed,
-    )
-}
-
-/// [`run_request`] on an explicit executor: plain kernels, the bench seam.
-pub(crate) fn run_request_on<G: AdjacencySource, E: Execute>(
-    graph: &G,
-    variant: Variant,
-    exec: &E,
-    grain: usize,
-) -> ParSvRun {
-    let ccid = identity_labels(graph.num_vertices());
-    let sweep_loop = SweepLoop::new(graph, exec, grain);
-    let run = match variant {
-        Variant::BranchAvoiding => sweep_loop.run(&BranchAvoidingSweep::<false> { ccid: &ccid }),
-        Variant::BranchBased => sweep_loop.run(&BranchBasedSweep::<false> { ccid: &ccid }),
-        Variant::Auto => sweep_loop.run(&auto_sweep(&ccid, false)),
-    };
-    ParSvRun {
-        labels: into_labels(ccid),
-        sweeps: run.sweeps,
-        counters: run.counters,
-        threads: exec.parallelism(),
-    }
-}
-
-/// The shared traced/cancellable run driver for both sweep disciplines.
-/// `initial` labels (instead of the identity) are how an interrupted run
-/// is resumed; `cancel` is checked at every sweep boundary.
-fn par_sv_run_impl<G: AdjacencySource, S: TraceSink>(
-    graph: &G,
-    config: &PoolConfig,
-    variant: Variant,
-    initial: Option<&ComponentLabels>,
-    sink: &S,
-    cancel: Option<&CancelToken>,
-) -> (ParSvRun, RunOutcome) {
-    let monitor = PoolMonitor::new();
-    let pool = WorkerPool::with_monitor(config.threads, Arc::clone(&monitor));
-    let scope = TraceRun::start(
-        sink,
-        TraceEvent::RunStart {
-            kernel: "cc".to_string(),
-            variant: variant.as_str().to_string(),
-            vertices: graph.num_vertices(),
-            edges: graph.num_edge_slots(),
-            threads: pool.threads(),
-            grain: config.grain,
-            delta: None,
-            root: None,
-            footprint: Some(run_footprint(graph.footprint())),
-        },
-    );
+    let scope = RunScope::open(config, |threads, grain| TraceEvent::RunStart {
+        kernel: "cc".to_string(),
+        variant: variant.as_str().to_string(),
+        vertices: graph.num_vertices(),
+        edges: graph.num_edge_slots(),
+        threads,
+        grain,
+        delta: None,
+        root: None,
+        footprint: Some(run_footprint(graph.footprint())),
+    });
     let ccid: Vec<AtomicU32> = match initial {
         Some(labels) => labels
             .as_slice()
@@ -304,23 +228,29 @@ fn par_sv_run_impl<G: AdjacencySource, S: TraceSink>(
             .collect(),
         None => identity_labels(graph.num_vertices()),
     };
-    let sweep_loop = SweepLoop::new(graph, &pool, config.grain);
-    let (run, outcome) = match variant {
-        Variant::BranchAvoiding => {
-            sweep_loop.run_loop(&BranchAvoidingSweep::<true> { ccid: &ccid }, &scope, cancel)
+    let sweep_loop = SweepLoop::new(graph, scope.exec(), scope.grain);
+    let (sink, cancel) = (scope.sink(), scope.cancel);
+    let (run, outcome) = match (variant, scope.tally) {
+        (Variant::BranchAvoiding, false) => {
+            sweep_loop.run(&BranchAvoidingSweep::<false> { ccid: &ccid }, sink, cancel)
         }
-        Variant::BranchBased => {
-            sweep_loop.run_loop(&BranchBasedSweep::<true> { ccid: &ccid }, &scope, cancel)
+        (Variant::BranchAvoiding, true) => {
+            sweep_loop.run(&BranchAvoidingSweep::<true> { ccid: &ccid }, sink, cancel)
         }
-        Variant::Auto => sweep_loop.run_loop(&auto_sweep(&ccid, true), &scope, cancel),
+        (Variant::BranchBased, false) => {
+            sweep_loop.run(&BranchBasedSweep::<false> { ccid: &ccid }, sink, cancel)
+        }
+        (Variant::BranchBased, true) => {
+            sweep_loop.run(&BranchBasedSweep::<true> { ccid: &ccid }, sink, cancel)
+        }
+        (Variant::Auto, tally) => sweep_loop.run(&auto_sweep(&ccid, tally), sink, cancel),
     };
-    emit_degradation_warning(&pool, &scope);
-    scope.finish_with_outcome(Some(monitor.take_metrics()), &outcome);
+    scope.close(&outcome);
     let result = ParSvRun {
         labels: into_labels(ccid),
         sweeps: run.sweeps,
         counters: run.counters,
-        threads: pool.threads(),
+        threads: scope.threads(),
     };
     (result, outcome)
 }
@@ -328,8 +258,9 @@ fn par_sv_run_impl<G: AdjacencySource, S: TraceSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::ScopedExecutor;
-    use crate::request::{run_components, run_components_on, run_components_resumed};
+    use crate::cancel::CancelToken;
+    use crate::pool::{ScopedExecutor, WorkerPool};
+    use crate::request::{run_components, run_components_resumed};
     use bga_graph::generators::{barabasi_albert, erdos_renyi_gnp, grid_2d, MeshStencil};
     use bga_graph::properties::connected_components_union_find;
     use bga_graph::{CsrGraph, GraphBuilder};
@@ -385,11 +316,13 @@ mod tests {
         let scoped = ScopedExecutor::new(4);
         // Grain of 1 forces fan-out on every sweep, even on tiny graphs.
         for grain in [1, 4096] {
-            let pool_run = run_components_on(&g, Variant::BranchAvoiding, &pool, grain);
-            let scoped_run = run_components_on(&g, Variant::BranchAvoiding, &scoped, grain);
+            let on_pool = RunConfig::new().on(&pool).grain(grain);
+            let on_scoped = RunConfig::new().on(&scoped).grain(grain);
+            let pool_run = run_components(&g, Variant::BranchAvoiding, &on_pool).0;
+            let scoped_run = run_components(&g, Variant::BranchAvoiding, &on_scoped).0;
             assert_eq!(pool_run.labels.as_slice(), expected.as_slice());
             assert_eq!(scoped_run.labels.as_slice(), expected.as_slice());
-            let pool_based = run_components_on(&g, Variant::BranchBased, &pool, grain);
+            let pool_based = run_components(&g, Variant::BranchBased, &on_pool).0;
             assert_eq!(pool_based.labels.as_slice(), expected.as_slice());
         }
     }

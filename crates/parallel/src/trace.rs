@@ -1,4 +1,9 @@
-//! Run-level trace scaffolding shared by the traced kernel entry points.
+//! Run-level scaffolding shared by the kernel drivers.
+//!
+//! [`RunScope`] is where a [`RunConfig`] turns into a run: it decides,
+//! once, which executor the kernels fan out on, whether they tally, and
+//! whether the pool is monitored and a trace header built — so every
+//! kernel has one driver and a default config pays for none of it.
 //!
 //! The engine loops emit bare [`TraceEvent::Phase`] events; what turns a
 //! stream of phases into a well-formed `bga-trace-v1` document is the
@@ -8,17 +13,92 @@
 //! trailer whose totals are exactly the sum of the forwarded phase
 //! counters — the invariant `bga trace validate` checks.
 
-use crate::cancel::RunOutcome;
-use crate::pool::{PoolMetrics, WorkerPool};
+use crate::cancel::{CancelToken, RunOutcome};
+use crate::pool::{Execute, PoolMetrics, PoolMonitor, WorkerPool};
+use crate::request::{ExecutorAxis, RunConfig};
 use bga_graph::GraphFootprint;
 use bga_obs::{PhaseCounters, RunFootprint, TraceEvent, TraceSink};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+/// One kernel run's resolved configuration: the executor, the fan-out
+/// grain, the tally switch, the cancel token and the trace scope. Every
+/// driver opens one first and closes it with the run's outcome.
+pub(crate) struct RunScope<'a, S: TraceSink, X: ExecutorAxis> {
+    axis: X,
+    /// The pool the run built for itself, when the caller lent none.
+    own: Option<WorkerPool>,
+    /// Attached to `own` on traced runs only: nothing but the trace reads
+    /// the batch records, and an unmonitored pool records nothing.
+    monitor: Option<Arc<PoolMonitor>>,
+    trace: TraceRun<'a, S>,
+    /// Minimum weight units before a phase fans out.
+    pub(crate) grain: usize,
+    /// Whether the kernels tally: the caller asked for counters, or a
+    /// trace needs real phase counters. A cancel token alone does not.
+    pub(crate) tally: bool,
+    /// Checked by the loops at every phase boundary.
+    pub(crate) cancel: Option<&'a CancelToken>,
+}
+
+impl<'a, S: TraceSink, X: ExecutorAxis> RunScope<'a, S, X> {
+    /// Resolves `config` into a run. `header` builds the `run-start`
+    /// event from the resolved `(threads, grain)`; it is only called (and
+    /// its strings only allocated) when the sink is enabled.
+    pub(crate) fn open(
+        config: &RunConfig<'a, S, X>,
+        header: impl FnOnce(usize, usize) -> TraceEvent,
+    ) -> Self {
+        let monitor = (X::OWN_POOL && S::ENABLED).then(PoolMonitor::new);
+        let own = X::OWN_POOL.then(|| match &monitor {
+            Some(monitor) => WorkerPool::with_monitor(config.threads, Arc::clone(monitor)),
+            None => WorkerPool::new(config.threads),
+        });
+        let grain = config.resolved_grain();
+        let threads = config.exec.executor(own.as_ref()).parallelism();
+        RunScope {
+            axis: config.exec,
+            own,
+            monitor,
+            trace: TraceRun::start(config.sink, || header(threads, grain)),
+            grain,
+            tally: config.instrumented || S::ENABLED,
+            cancel: config.cancel,
+        }
+    }
+
+    /// The executor the run fans out on.
+    pub(crate) fn exec(&self) -> &X::Exec {
+        self.axis.executor(self.own.as_ref())
+    }
+
+    /// Worker count the run uses.
+    pub(crate) fn threads(&self) -> usize {
+        self.exec().parallelism()
+    }
+
+    /// The sink the engine loops emit phases into.
+    pub(crate) fn sink(&self) -> &TraceRun<'a, S> {
+        &self.trace
+    }
+
+    /// Ends the run: the pool-degradation warning and batch records of a
+    /// pool the run owns, then the outcome-marked `run-end` trailer (all
+    /// of it compiled out with a disabled sink). The pool itself goes
+    /// when the scope is dropped.
+    pub(crate) fn close(&self, outcome: &RunOutcome) {
+        if let Some(pool) = &self.own {
+            emit_degradation_warning(pool, &self.trace);
+        }
+        let metrics = self.monitor.as_ref().map(|monitor| monitor.take_metrics());
+        self.trace.finish_with_outcome(metrics, outcome);
+    }
+}
 
 /// Scopes one kernel run over an inner sink: header on construction,
 /// phase accounting while the engine runs, pool metrics and trailer on
-/// [`TraceRun::finish`]. Implements [`TraceSink`] itself so it can be
-/// handed straight to the engine loops' `run_traced`; with a disabled
+/// [`TraceRun::finish_with_outcome`]. Implements [`TraceSink`] itself so
+/// it can be handed straight to the engine loops' `run`; with a disabled
 /// inner sink every method is a no-op.
 pub(crate) struct TraceRun<'a, S: TraceSink> {
     inner: &'a S,
@@ -28,11 +108,12 @@ pub(crate) struct TraceRun<'a, S: TraceSink> {
 }
 
 impl<'a, S: TraceSink> TraceRun<'a, S> {
-    /// Emits the `run-start` header and opens the run scope.
-    pub(crate) fn start(inner: &'a S, header: TraceEvent) -> Self {
+    /// Emits the `run-start` header (built only for an enabled sink) and
+    /// opens the run scope.
+    pub(crate) fn start(inner: &'a S, header: impl FnOnce() -> TraceEvent) -> Self {
         let started = S::ENABLED.then(Instant::now);
         if S::ENABLED {
-            inner.emit(header);
+            inner.emit(header());
         }
         TraceRun {
             inner,
@@ -54,7 +135,7 @@ impl<'a, S: TraceSink> TraceRun<'a, S> {
     /// plain; an interrupted one marks it with the reason, so the stream
     /// stays a valid `bga-trace-v1` document (header, consecutive phases,
     /// totals that sum) that *says* it stopped early.
-    pub(crate) fn finish_with_outcome(self, metrics: Option<PoolMetrics>, outcome: &RunOutcome) {
+    pub(crate) fn finish_with_outcome(&self, metrics: Option<PoolMetrics>, outcome: &RunOutcome) {
         if !S::ENABLED {
             return;
         }
@@ -160,20 +241,17 @@ mod tests {
     #[test]
     fn run_scope_brackets_phases_with_header_and_totals() {
         let sink = MemorySink::new();
-        let scope = TraceRun::start(
-            &sink,
-            TraceEvent::RunStart {
-                kernel: "bfs".to_string(),
-                variant: "branch-avoiding".to_string(),
-                vertices: 4,
-                edges: 6,
-                threads: 2,
-                grain: 64,
-                delta: None,
-                root: Some(0),
-                footprint: None,
-            },
-        );
+        let scope = TraceRun::start(&sink, || TraceEvent::RunStart {
+            kernel: "bfs".to_string(),
+            variant: "branch-avoiding".to_string(),
+            vertices: 4,
+            edges: 6,
+            threads: 2,
+            grain: 64,
+            delta: None,
+            root: Some(0),
+            footprint: None,
+        });
         scope.emit(phase(1));
         assert_eq!(scope.phases_so_far(), 1);
         scope.emit(phase(2));
@@ -221,20 +299,17 @@ mod tests {
     fn interrupted_outcomes_mark_the_trailer() {
         use crate::cancel::InterruptReason;
         let sink = MemorySink::new();
-        let scope = TraceRun::start(
-            &sink,
-            TraceEvent::RunStart {
-                kernel: "cc".to_string(),
-                variant: "branch-avoiding".to_string(),
-                vertices: 4,
-                edges: 6,
-                threads: 2,
-                grain: 64,
-                delta: None,
-                root: None,
-                footprint: None,
-            },
-        );
+        let scope = TraceRun::start(&sink, || TraceEvent::RunStart {
+            kernel: "cc".to_string(),
+            variant: "branch-avoiding".to_string(),
+            vertices: 4,
+            edges: 6,
+            threads: 2,
+            grain: 64,
+            delta: None,
+            root: None,
+            footprint: None,
+        });
         scope.emit(phase(1));
         scope.finish_with_outcome(
             None,
@@ -288,15 +363,9 @@ mod tests {
 
     #[test]
     fn disabled_scope_emits_nothing() {
-        let scope = TraceRun::start(
-            &NoopSink,
-            TraceEvent::RunEnd {
-                phases: 0,
-                totals: PhaseCounters::default(),
-                wall_ns: 0,
-                interrupted: None,
-            },
-        );
+        let scope = TraceRun::start(&NoopSink, || {
+            unreachable!("a disabled sink builds no header")
+        });
         const _: () = assert!(!TraceRun::<'static, NoopSink>::ENABLED);
         assert!(scope.started.is_none());
         scope.finish_with_outcome(None, &RunOutcome::Completed);

@@ -16,11 +16,11 @@
 //!   `(kernel, root, variant)` on the snapshot's epoch, so repeated
 //!   queries against the same root are answered from the cache without
 //!   recomputation;
-//! * a query carrying `timeout_ms` runs under a [`CancelToken`]
-//!   deadline: an over-budget traversal stops at the next phase
-//!   boundary and the query is answered from the prefix with status
-//!   `"partial"` instead of wedging the pool. Partial results are never
-//!   cached.
+//! * a query carrying `timeout_ms` runs the same traversal on the same
+//!   pool under a [`CancelToken`] deadline: an over-budget traversal
+//!   stops at the next phase boundary and the query is answered from the
+//!   prefix with status `"partial"` instead of wedging the pool. Partial
+//!   results are never cached.
 //!
 //! The listener half is plain `std::net`; the server is usable as a
 //! library (bind to `127.0.0.1:0`, connect in-process) which is how the
@@ -35,10 +35,7 @@ use bga_kernels::bfs::{BfsResult, INFINITY};
 use bga_kernels::cc::ComponentLabels;
 use bga_kernels::kcore::CoreDecomposition;
 use bga_obs::{QueryKind, QueryPayload, QueryStatus, ServeRequest, ServeResponse, ServeStats};
-use bga_parallel::request::{
-    run_betweenness, run_betweenness_on, run_bfs, run_bfs_reusing, run_components,
-    run_components_on, run_kcore, run_kcore_on,
-};
+use bga_parallel::request::{run_betweenness, run_bfs_with_state, run_components, run_kcore};
 use bga_parallel::{
     resolve_threads, BfsStrategy, CancelToken, PoolConfig, PoolMonitor, RunConfig, RunOutcome,
     TraversalState, Variant, WorkerPool,
@@ -150,7 +147,7 @@ struct ServerState<G> {
     monitor: Arc<PoolMonitor>,
     /// One traversal-state allocation reused across every BFS query on
     /// the shared pool (guarded by the same serialization as the pool
-    /// lock — `compute_on` runs with the pool lock held).
+    /// lock — `compute` runs with the pool lock held).
     bfs_state: Mutex<TraversalState>,
     cache: Mutex<Lru>,
     stop: AtomicBool,
@@ -208,9 +205,9 @@ impl<G: AdjacencySource> ServerState<G> {
     }
 
     /// Computes (or recalls) the result behind `key`. On a miss the
-    /// traversal runs on the shared pool — or, when `deadline` is set,
-    /// under a cancellation token so an over-budget run stops at the
-    /// next phase boundary. Returns the result plus `(cached, complete)`.
+    /// traversal runs on the shared pool — under a cancellation token
+    /// when `deadline` is set, so an over-budget run stops at the next
+    /// phase boundary. Returns the result plus `(cached, complete)`.
     fn resolve(&self, key: CacheKey, deadline: Option<Duration>) -> (Cached, bool, bool) {
         if let Some(hit) = self.cache.lock().unwrap().get(key) {
             self.cache_hits.fetch_add(1, Relaxed);
@@ -218,10 +215,10 @@ impl<G: AdjacencySource> ServerState<G> {
         }
         self.cache_misses.fetch_add(1, Relaxed);
         let pool = self.pool.lock().unwrap();
-        let (value, outcome) = match deadline {
-            None => (self.compute_on(key, &pool), RunOutcome::Completed),
-            Some(budget) => self.compute_bounded(key, budget),
-        };
+        // The budget starts once the query holds the pool: time queued
+        // behind other queries is not the traversal's to spend.
+        let token = deadline.map(|budget| CancelToken::new().with_deadline_in(budget));
+        let (value, outcome) = self.compute(key, &pool, token.as_ref());
         drop(pool);
         let complete = outcome.is_completed();
         if complete {
@@ -232,51 +229,26 @@ impl<G: AdjacencySource> ServerState<G> {
         (value, false, complete)
     }
 
-    /// Runs the traversal behind `key` on the shared worker pool.
-    fn compute_on(&self, key: CacheKey, pool: &WorkerPool) -> Cached {
+    /// Runs the traversal behind `key` on the shared worker pool, checking
+    /// `cancel` (when given) at every phase boundary.
+    fn compute(
+        &self,
+        key: CacheKey,
+        pool: &WorkerPool,
+        cancel: Option<&CancelToken>,
+    ) -> (Cached, RunOutcome) {
         let g = &*self.graph;
-        let grain = self.grain;
+        let mut config = RunConfig::new().on(pool).grain(self.grain);
+        if let Some(token) = cancel {
+            config = config.cancel(token);
+        }
         match key {
             CacheKey::Bfs { root, variant } => {
                 // Reuse the server-lifetime traversal allocation instead
                 // of building fresh atomic arrays per query.
                 let mut state = self.bfs_state.lock().unwrap();
-                let run = run_bfs_reusing(
-                    g,
-                    root,
-                    BfsStrategy::Plain(variant),
-                    pool,
-                    grain,
-                    &mut state,
-                );
-                Cached::Bfs(Arc::new(run.result))
-            }
-            CacheKey::Components { variant } => {
-                let run = run_components_on(g, variant, pool, grain);
-                Cached::Components(Arc::new(run.labels))
-            }
-            CacheKey::Cores { variant } => {
-                let run = run_kcore_on(g, variant, pool, grain);
-                Cached::Cores(Arc::new(run.cores))
-            }
-            CacheKey::Bc { variant } => {
-                let run = run_betweenness_on(g, variant, None, pool, grain);
-                Cached::Bc(Arc::new(run.scores))
-            }
-        }
-    }
-
-    /// Runs the traversal behind `key` under a deadline token. The
-    /// cancellable request paths bring their own scoped threads, so this
-    /// runs while *holding* the pool lock (keeping compute serialized)
-    /// without using the resident pool itself.
-    fn compute_bounded(&self, key: CacheKey, budget: Duration) -> (Cached, RunOutcome) {
-        let g = &*self.graph;
-        let token = CancelToken::new().with_deadline_in(budget);
-        let config = RunConfig::new().threads(self.threads).cancel(&token);
-        match key {
-            CacheKey::Bfs { root, variant } => {
-                let (run, outcome) = run_bfs(g, root, BfsStrategy::Plain(variant), &config);
+                let strategy = BfsStrategy::Plain(variant);
+                let (run, outcome) = run_bfs_with_state(g, root, strategy, &mut state, &config);
                 (Cached::Bfs(Arc::new(run.result)), outcome)
             }
             CacheKey::Components { variant } => {

@@ -2,20 +2,19 @@
 //! components, BFS, Brandes betweenness, k-core peeling, and SSSP in both
 //! the unit (level-loop) and weighted (bucket-loop) forms — must produce
 //! bit-identical results on the delta-varint [`CompressedCsrGraph`] and
-//! the plain `Vec` CSR, at 1, 2 and 8 worker threads. The explicit `_on`
-//! entry points pin the chunking grain to 1, the adversarial schedule
-//! where every vertex is its own chunk (the CI step additionally runs the
-//! whole suite under `BGA_PARALLEL_GRAIN=1`).
+//! the plain `Vec` CSR, at 1, 2 and 8 worker threads. Every run shares one
+//! pool through `RunConfig::on` and pins the chunking grain to 1, the
+//! adversarial schedule where every vertex is its own chunk (the CI step
+//! additionally runs the whole suite under `BGA_PARALLEL_GRAIN=1`).
 
 use branch_avoiding_graphs::graph::generators::{barabasi_albert, erdos_renyi_gnm};
 use branch_avoiding_graphs::graph::suite::{benchmark_suite, SuiteScale};
 use branch_avoiding_graphs::graph::weighted::uniform_weights;
 use branch_avoiding_graphs::graph::{CompressedCsrGraph, CompressedWeightedGraph, CsrGraph};
 use branch_avoiding_graphs::parallel::request::{
-    run_betweenness_on, run_bfs_on, run_components_on, run_kcore_on, run_sssp_unit_on,
-    run_sssp_weighted_on,
+    run_betweenness, run_bfs, run_components, run_kcore, run_sssp_unit, run_sssp_weighted,
 };
-use branch_avoiding_graphs::parallel::{BfsStrategy, Variant, WorkerPool};
+use branch_avoiding_graphs::parallel::{BfsStrategy, RunConfig, Variant, WorkerPool};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 const GRAIN: usize = 1;
@@ -30,17 +29,25 @@ fn assert_representations_agree(name: &str, graph: &CsrGraph) {
     let sources: Vec<u32> = (0..4u32.min(graph.num_vertices() as u32)).collect();
     for threads in THREAD_COUNTS {
         let pool = WorkerPool::new(threads);
+        let on_pool = RunConfig::new().on(&pool).grain(GRAIN);
         // SV connected components, both hooking disciplines.
-        let csr_labels = run_components_on(graph, Variant::BranchBased, &pool, GRAIN).labels;
-        let zip_labels = run_components_on(&compressed, Variant::BranchBased, &pool, GRAIN).labels;
+        let csr_labels = run_components(graph, Variant::BranchBased, &on_pool)
+            .0
+            .labels;
+        let zip_labels = run_components(&compressed, Variant::BranchBased, &on_pool)
+            .0
+            .labels;
         assert_eq!(
             csr_labels.as_slice(),
             zip_labels.as_slice(),
             "{name}: branch-based SV diverged at {threads} threads"
         );
-        let csr_labels = run_components_on(graph, Variant::BranchAvoiding, &pool, GRAIN).labels;
-        let zip_labels =
-            run_components_on(&compressed, Variant::BranchAvoiding, &pool, GRAIN).labels;
+        let csr_labels = run_components(graph, Variant::BranchAvoiding, &on_pool)
+            .0
+            .labels;
+        let zip_labels = run_components(&compressed, Variant::BranchAvoiding, &on_pool)
+            .0
+            .labels;
         assert_eq!(
             csr_labels.as_slice(),
             zip_labels.as_slice(),
@@ -50,10 +57,9 @@ fn assert_representations_agree(name: &str, graph: &CsrGraph) {
         for variant in [Variant::BranchBased, Variant::BranchAvoiding] {
             let strategy = BfsStrategy::Plain(variant);
             assert_eq!(
-                run_bfs_on(graph, 0, strategy, &pool, GRAIN)
-                    .result
-                    .distances(),
-                run_bfs_on(&compressed, 0, strategy, &pool, GRAIN)
+                run_bfs(graph, 0, strategy, &on_pool).0.result.distances(),
+                run_bfs(&compressed, 0, strategy, &on_pool)
+                    .0
                     .result
                     .distances(),
                 "{name}: {variant:?} BFS diverged at {threads} threads"
@@ -63,10 +69,12 @@ fn assert_representations_agree(name: &str, graph: &CsrGraph) {
         // order is fixed by the engine's deterministic level schedule, so
         // the scores must match bit-for-bit, not just approximately.
         for variant in [Variant::BranchBased, Variant::BranchAvoiding] {
-            let csr_scores =
-                run_betweenness_on(graph, variant, Some(&sources), &pool, GRAIN).scores;
-            let zip_scores =
-                run_betweenness_on(&compressed, variant, Some(&sources), &pool, GRAIN).scores;
+            let csr_scores = run_betweenness(graph, variant, Some(&sources), &on_pool)
+                .0
+                .scores;
+            let zip_scores = run_betweenness(&compressed, variant, Some(&sources), &on_pool)
+                .0
+                .scores;
             assert_eq!(
                 csr_scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
                 zip_scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
@@ -75,8 +83,8 @@ fn assert_representations_agree(name: &str, graph: &CsrGraph) {
         }
         // k-core peeling, both decrement disciplines.
         for variant in [Variant::BranchBased, Variant::BranchAvoiding] {
-            let csr_cores = run_kcore_on(graph, variant, &pool, GRAIN).cores;
-            let zip_cores = run_kcore_on(&compressed, variant, &pool, GRAIN).cores;
+            let csr_cores = run_kcore(graph, variant, &on_pool).0.cores;
+            let zip_cores = run_kcore(&compressed, variant, &on_pool).0.cores;
             assert_eq!(
                 csr_cores.as_slice(),
                 zip_cores.as_slice(),
@@ -87,19 +95,23 @@ fn assert_representations_agree(name: &str, graph: &CsrGraph) {
         // bucket loop, both relaxation disciplines.
         for variant in [Variant::BranchBased, Variant::BranchAvoiding] {
             assert_eq!(
-                run_sssp_unit_on(graph, 0, variant, &pool, GRAIN)
+                run_sssp_unit(graph, 0, variant, &on_pool)
+                    .0
                     .result
                     .distances(),
-                run_sssp_unit_on(&compressed, 0, variant, &pool, GRAIN)
+                run_sssp_unit(&compressed, 0, variant, &on_pool)
+                    .0
                     .result
                     .distances(),
                 "{name}: {variant:?} unit SSSP diverged at {threads} threads"
             );
             assert_eq!(
-                run_sssp_weighted_on(&weighted, 0, DELTA, variant, &pool, GRAIN)
+                run_sssp_weighted(&weighted, 0, DELTA, variant, &on_pool)
+                    .0
                     .result
                     .distances(),
-                run_sssp_weighted_on(&compressed_weighted, 0, DELTA, variant, &pool, GRAIN)
+                run_sssp_weighted(&compressed_weighted, 0, DELTA, variant, &on_pool)
+                    .0
                     .result
                     .distances(),
                 "{name}: {variant:?} weighted SSSP diverged at {threads} threads"

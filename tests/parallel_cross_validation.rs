@@ -726,6 +726,7 @@ proptest! {
         seed in 0u64..500,
         relabel_seed in 0u64..500,
     ) {
+        use branch_avoiding_graphs::obs::NoopSink;
         use branch_avoiding_graphs::parallel::bfs::BranchAvoidingLevel;
         use branch_avoiding_graphs::parallel::{LevelLoop, TraversalState, WorkerPool};
         let m = (n * edge_factor / 2).min(n * (n - 1) / 2);
@@ -738,7 +739,13 @@ proptest! {
             DirectionConfig::always_bottom_up(),
         ] {
             let state = TraversalState::new(g.num_vertices());
-            let run = LevelLoop::new(&g, &pool, 1, config).run(&state, 0, &BranchAvoidingLevel::<false>);
+            let (run, _) = LevelLoop::new(&g, &pool, 1, config).run(
+                &state,
+                0,
+                &BranchAvoidingLevel::<false>,
+                &NoopSink,
+                None,
+            );
             let distances = state.into_distances();
             prop_assert_eq!(&distances[..], &expected[..]);
             let mut covered = 0usize;

@@ -21,8 +21,8 @@ use branch_avoiding_graphs::kernels::bc::betweenness_centrality_sources;
 use branch_avoiding_graphs::kernels::kcore::kcore_peeling;
 use branch_avoiding_graphs::kernels::sssp::sssp_delta_stepping;
 use branch_avoiding_graphs::parallel::request::{
-    run_betweenness, run_bfs, run_components, run_components_on, run_components_resumed, run_kcore,
-    run_sssp_unit, run_sssp_weighted, run_sssp_weighted_resumed,
+    run_betweenness, run_bfs, run_components, run_components_resumed, run_kcore, run_sssp_unit,
+    run_sssp_weighted, run_sssp_weighted_resumed,
 };
 use branch_avoiding_graphs::parallel::{
     BfsStrategy, CancelToken, InterruptReason, RunConfig, RunOutcome, Variant,
@@ -287,14 +287,17 @@ mod injected_faults {
         let graph = fanout_graph();
         let expected = connected_components_union_find(&graph);
         let pool = WorkerPool::with_faults(4, FaultPlan::new().panic_in_batches(0..100));
+        let on_pool = RunConfig::new().on(&pool).grain(1);
         for attempt in 0..100 {
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                run_components_on(&graph, Variant::BranchBased, &pool, 1)
+                run_components(&graph, Variant::BranchBased, &on_pool)
             }));
             assert!(outcome.is_err(), "attempt {attempt} should have panicked");
         }
         // Batches 100+ are past the plan: the same pool still converges.
-        let labels = run_components_on(&graph, Variant::BranchBased, &pool, 1).labels;
+        let labels = run_components(&graph, Variant::BranchBased, &on_pool)
+            .0
+            .labels;
         assert_eq!(labels.canonical(), expected);
         assert_eq!(pool.lost_workers(), 0, "task panics are not worker deaths");
         assert_eq!(pool.shutdown(), Ok(()));
@@ -308,16 +311,21 @@ mod injected_faults {
         let graph = fanout_graph();
         let expected = connected_components_union_find(&graph);
         let pool = WorkerPool::with_faults(2, FaultPlan::new().kill_worker(0, 1));
+        let on_pool = RunConfig::new().on(&pool).grain(1);
         let mut spins = 0;
         while pool.lost_workers() < 1 {
-            let labels = run_components_on(&graph, Variant::BranchBased, &pool, 1).labels;
+            let labels = run_components(&graph, Variant::BranchBased, &on_pool)
+                .0
+                .labels;
             assert_eq!(labels.canonical(), expected, "degrading run went wrong");
             spins += 1;
             assert!(spins < 10_000, "the worker never picked up a batch");
             std::thread::yield_now();
         }
         assert_eq!(pool.live_workers(), 0);
-        let labels = run_components_on(&graph, Variant::BranchBased, &pool, 1).labels;
+        let labels = run_components(&graph, Variant::BranchBased, &on_pool)
+            .0
+            .labels;
         assert_eq!(labels.canonical(), expected, "inline fallback went wrong");
         assert_eq!(pool.shutdown(), Err(PoolError { lost_workers: 1 }));
     }

@@ -5,7 +5,7 @@
 //! pool, and malformed lines mid-stream must not take a connection
 //! (or the server) down with them.
 
-use branch_avoiding_graphs::graph::generators::{grid_2d, MeshStencil};
+use branch_avoiding_graphs::graph::generators::{barabasi_albert, grid_2d, MeshStencil};
 use branch_avoiding_graphs::graph::CsrGraph;
 use branch_avoiding_graphs::kernels::bfs::INFINITY;
 use branch_avoiding_graphs::obs::{
@@ -258,6 +258,49 @@ fn deadline_partials_do_not_wedge_the_pool() {
     }
     let stats = client.stats();
     assert_eq!(stats.partials, 1);
+    client.shutdown();
+    server.join().expect("server thread");
+}
+
+/// Deadline queries are the same traversal on the same resident pool —
+/// not a private pool spun up while the resident one sits locked and
+/// idle — so their fanned-out batches show up in the server's own pool
+/// counters.
+#[test]
+fn deadline_queries_run_on_the_resident_pool() {
+    // Every middle level of a power-law graph this size carries far more
+    // edge slots than the fan-out grain.
+    let graph = barabasi_albert(6_000, 4, 29);
+    let options = ServeOptions {
+        threads: 2,
+        ..ServeOptions::default()
+    };
+    let (addr, server) = start(graph, options);
+    let mut client = Client::connect(addr);
+    for root in 0..4 {
+        let answer = client.send(&ServeRequest::Query {
+            kind: QueryKind::Distance { root, target: 17 },
+            variant: None,
+            timeout_ms: Some(60_000),
+        });
+        assert!(
+            matches!(
+                answer,
+                ServeResponse::Query {
+                    status: QueryStatus::Ok,
+                    cached: false,
+                    ..
+                }
+            ),
+            "a generous budget must complete: {answer:?}"
+        );
+    }
+    let stats = client.stats();
+    assert_eq!(stats.partials, 0);
+    assert!(
+        stats.pool_batches > 0,
+        "deadline queries bypassed the resident pool: {stats:?}"
+    );
     client.shutdown();
     server.join().expect("server thread");
 }

@@ -111,6 +111,30 @@ fn interrupted_traced_runs_still_round_trip_and_validate() {
     assert_eq!(report.phases.len(), 1);
 }
 
+/// A traced betweenness run tallies in every variant, not just `auto`:
+/// each forward level's edge tests are real phase counters, and the edge
+/// total — one test per adjacency slot of every reached vertex, per
+/// source — is the same whichever discipline ran.
+#[test]
+fn traced_betweenness_tallies_in_every_variant() {
+    let g = generators::grid_2d(12, 12, generators::MeshStencil::Moore);
+    let sources = [0u32, 77];
+    let traced_edges = |variant: Variant| {
+        let (_, report) = round_trip(|sink| {
+            let config = RunConfig::new().threads(2).traced(sink);
+            let (run, _) = run_betweenness(&g, variant, Some(&sources), &config);
+            assert_eq!(run.sources_done, sources.len());
+        });
+        assert_eq!(report.kernel, "bc");
+        report.phases.iter().map(|p| p.counters.edges).sum::<u64>()
+    };
+    let auto = traced_edges(Variant::Auto);
+    assert_eq!(auto, (sources.len() * g.num_edge_slots()) as u64);
+    for variant in [Variant::BranchBased, Variant::BranchAvoiding] {
+        assert_eq!(traced_edges(variant), auto, "{variant:?}");
+    }
+}
+
 #[test]
 fn tampered_streams_are_rejected() {
     let g = generators::grid_2d(8, 8, generators::MeshStencil::VonNeumann);
@@ -261,7 +285,14 @@ fn bucket_phase_shapes<E: Execute>(
 ) -> Vec<PhaseShape> {
     let sink = MemorySink::new();
     let state = TraversalState::new(wg.num_vertices());
-    BucketLoop::new(wg, exec, grain, 4).run_traced(&state, 0, &BranchAvoidingRelax::<false>, &sink);
+    BucketLoop::new(wg, exec, grain, 4).run(
+        &state,
+        0,
+        &BranchAvoidingRelax::<false>,
+        &sink,
+        None,
+        false,
+    );
     sink.take()
         .into_iter()
         .map(|event| match event {

@@ -1,13 +1,15 @@
-//! The no-op sink compiles the tracing seam out: a `BucketLoop::run`
-//! (which *is* `run_traced(&NoopSink)`) performs exactly the same heap
-//! allocations as an explicit no-op-sink traced run, while a collecting
-//! sink allocates strictly more. The check runs alone in this binary so a
-//! counting global allocator sees only its own traffic: the engine is
-//! driven on a single-thread pool with a grain large enough that every
-//! pass executes inline on the calling thread, making the allocation
+//! What a run does not ask for, it does not pay for: a request under a
+//! default config plus a never-firing `CancelToken` performs exactly the
+//! same heap allocations as the request without the token — no trace
+//! header strings, no `PoolMonitor`, no counter series — while a
+//! collecting sink allocates strictly more than both. The check runs
+//! alone in this binary so a counting global allocator sees only its own
+//! traffic: each run builds its own two-thread pool (the allocation
+//! counter is global, so the worker's traffic is included; the pool is
+//! joined before the run returns) with a grain large enough that every
+//! phase executes inline on the calling thread, making the allocation
 //! count exact and repeatable.
 
-use branch_avoiding_graphs::parallel::BranchAvoidingRelax;
 use branch_avoiding_graphs::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -44,50 +46,69 @@ fn allocations_during(f: impl FnOnce()) -> usize {
     ALLOCATIONS.load(Ordering::SeqCst) - before
 }
 
-#[test]
-fn noop_sink_adds_no_allocations_to_an_engine_run() {
-    let wg = uniform_weights(
-        &generators::grid_2d(32, 32, generators::MeshStencil::VonNeumann),
-        8,
-        7,
-    );
-    let pool = WorkerPool::new(1);
-    // A grain far above the total edge weight keeps every pass inline.
-    let bucket_loop = BucketLoop::new(&wg, &pool, 1_000_000_000, 4);
-    let mut state = TraversalState::new(wg.num_vertices());
-
+/// One request three ways — default config, plus a never-firing cancel
+/// token, plus a collecting sink — each closure returning whether the
+/// run completed.
+fn check(
+    kernel: &str,
+    sink: &MemorySink,
+    plain: impl Fn() -> bool,
+    cancellable: impl Fn() -> bool,
+    traced: impl Fn() -> bool,
+) {
     // Warm up once so lazy one-time initialisation is off the books.
-    bucket_loop.run(&state, 0, &BranchAvoidingRelax::<false>);
-
-    let run = |state: &TraversalState| {
-        allocations_during(|| {
-            bucket_loop.run(state, 0, &BranchAvoidingRelax::<false>);
-        })
-    };
-    state.reset();
-    let untraced = run(&state);
-    state.reset();
-    assert_eq!(run(&state), untraced, "plain runs are not repeatable");
-
-    state.reset();
-    let noop_traced = allocations_during(|| {
-        bucket_loop.run_traced(&state, 0, &BranchAvoidingRelax::<false>, &NoopSink);
-    });
+    assert!(plain());
+    let baseline = allocations_during(|| assert!(plain()));
     assert_eq!(
-        noop_traced, untraced,
-        "a no-op-sink traced run allocated differently from the untraced run"
+        allocations_during(|| assert!(plain())),
+        baseline,
+        "{kernel}: plain runs are not repeatable"
     );
-
-    // A collecting sink pays for what it records — strictly more
-    // allocations than the compiled-out seam.
-    let sink = MemorySink::new();
-    state.reset();
-    let collected = allocations_during(|| {
-        bucket_loop.run_traced(&state, 0, &BranchAvoidingRelax::<false>, &sink);
-    });
-    assert!(!sink.take().is_empty(), "the collecting sink saw no events");
+    assert_eq!(
+        allocations_during(|| assert!(cancellable())),
+        baseline,
+        "{kernel}: a never-firing cancel token changed the run's allocations"
+    );
+    // A collecting sink pays for what it records — header strings, a pool
+    // monitor, a counter series, the events — strictly more than either.
+    let collected = allocations_during(|| assert!(traced()));
+    assert!(!sink.take().is_empty(), "{kernel}: the sink saw no events");
     assert!(
-        collected > noop_traced,
-        "collecting sink ({collected} allocations) should exceed the no-op sink ({noop_traced})"
+        collected > baseline,
+        "{kernel}: collecting sink ({collected} allocations) should exceed the plain run ({baseline})"
+    );
+}
+
+#[test]
+fn a_cancel_token_adds_no_allocations_to_a_request() {
+    let g = generators::grid_2d(32, 32, generators::MeshStencil::VonNeumann);
+    // A grain far above the total edge weight keeps every phase inline.
+    let config = RunConfig::new().threads(2).grain(1_000_000_000);
+    let token = CancelToken::new();
+    let sink = MemorySink::new();
+
+    let cc = Variant::BranchAvoiding;
+    check(
+        "cc",
+        &sink,
+        || run_components(&g, cc, &config).1.is_completed(),
+        || {
+            run_components(&g, cc, &config.cancel(&token))
+                .1
+                .is_completed()
+        },
+        || {
+            run_components(&g, cc, &config.traced(&sink))
+                .1
+                .is_completed()
+        },
+    );
+    let bfs = BfsStrategy::Plain(Variant::BranchAvoiding);
+    check(
+        "bfs",
+        &sink,
+        || run_bfs(&g, 0, bfs, &config).1.is_completed(),
+        || run_bfs(&g, 0, bfs, &config.cancel(&token)).1.is_completed(),
+        || run_bfs(&g, 0, bfs, &config.traced(&sink)).1.is_completed(),
     );
 }

@@ -1,24 +1,14 @@
-//! The shared flag front end of the kernel subcommands.
-//!
-//! `cc`, `bfs`, `bc`, `kcore` and `sssp` all take the same execution
-//! flags — `--variant`, `--threads N`, `--instrumented`, `--trace FILE`,
-//! `--timeout-ms T` — under the same exclusivity matrix:
-//!
-//! * `--trace` requires `--threads` (only parallel runs are traced);
-//! * `--trace` and `--instrumented` are exclusive (the trace carries the
-//!   counters);
-//! * `--timeout-ms` requires `--threads` (only parallel runs are
-//!   cancellable);
-//! * `--timeout-ms` and `--instrumented` are exclusive (the instrumented
-//!   paths have no cancellation seam).
-//!
-//! [`CommonArgs::parse`] enforces the matrix once — the five commands
-//! used to carry their own copies — and [`CommonArgs::run_config`]
-//! converts the parsed flags straight into the request API's
-//! [`RunConfig`], so a command's parallel path is one `run_*` call.
+//! The shared flags of the kernel subcommands (`--variant`,
+//! `--threads N`, `--instrumented`, `--trace FILE`, `--timeout-ms T`) and
+//! their exclusivity matrix: only parallel runs are traced or cancellable,
+//! and `--instrumented` excludes both `--trace` (the trace carries the
+//! counters) and `--timeout-ms` (the instrumented paths have no
+//! cancellation seam). Also the flag-lookup helpers every subcommand uses.
 
 use bga_obs::NoopSink;
 use bga_parallel::{CancelToken, RunConfig};
+use std::fmt::Display;
+use std::str::FromStr;
 use std::time::Duration;
 
 /// Looks up the value following `flag`, if any.
@@ -29,46 +19,51 @@ pub(super) fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> 
         .map(|s| s.as_str())
 }
 
-/// Parses `--threads N`: `None` when the flag is absent (sequential
-/// kernels), `Some(0)` meaning "all cores", `Some(n)` otherwise. A bare
-/// `--threads` with no value is an error, not a silent sequential run.
-pub(super) fn parse_threads(args: &[String]) -> Result<Option<usize>, String> {
-    match flag_value(args, "--threads") {
-        None if args.iter().any(|a| a == "--threads") => {
-            Err("--threads requires a value (0 means all cores)".to_string())
-        }
+/// Parses the value following `flag` with `parse`: `None` when the flag
+/// is absent. A bare flag with no value is an error, never a silent
+/// fall-back to the default.
+pub(super) fn parse_flag<'a, T>(
+    args: &'a [String],
+    flag: &str,
+    parse: impl FnOnce(&'a str) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    match flag_value(args, flag) {
+        None if args.iter().any(|a| a == flag) => Err(format!("{flag} requires a value")),
         None => Ok(None),
-        Some(text) => text
-            .parse::<usize>()
-            .map(Some)
-            .map_err(|e| format!("invalid --threads value {text:?}: {e}")),
+        Some(text) => parse(text).map(Some),
     }
 }
 
-/// Parses `--timeout-ms T`: the wall-clock budget of a deadline-bounded
-/// run, `None` when the flag is absent. A bare `--timeout-ms` with no
-/// value is an error, not a silently unbounded run.
-fn parse_timeout(args: &[String]) -> Result<Option<Duration>, String> {
-    match flag_value(args, "--timeout-ms") {
-        None if args.iter().any(|a| a == "--timeout-ms") => {
-            Err("--timeout-ms requires a value in milliseconds".to_string())
-        }
-        None => Ok(None),
-        Some(text) => text
-            .parse::<u64>()
-            .map(|ms| Some(Duration::from_millis(ms)))
-            .map_err(|e| format!("invalid --timeout-ms value {text:?}: {e}")),
+/// Parses `text`, the value of `flag`, as a number.
+pub(super) fn number<T: FromStr<Err: Display>>(flag: &str, text: &str) -> Result<T, String> {
+    text.parse()
+        .map_err(|e| format!("invalid {flag} value {text:?}: {e}"))
+}
+
+/// [`parse_flag`] for a numeric value.
+pub(super) fn parse_number<T: FromStr<Err: Display>>(
+    args: &[String],
+    flag: &str,
+) -> Result<Option<T>, String> {
+    parse_flag(args, flag, |text| number(flag, text))
+}
+
+/// Fails with the message of the first rule whose condition holds.
+pub(super) fn reject_first(rules: &[(bool, &str)]) -> Result<(), String> {
+    match rules.iter().find(|(broken, _)| *broken) {
+        Some((_, message)) => Err(message.to_string()),
+        None => Ok(()),
     }
 }
 
 /// The execution flags every kernel subcommand shares, parsed and
-/// cross-checked. The variant stays a raw string — each command owns its
-/// own vocabulary (`cc` has sequential-only `hybrid`/`union-find`/`bfs`,
-/// `bfs` has `bottom-up` and `direction-optimizing`).
+/// cross-checked. The variant stays a raw string: each kernel has its own
+/// vocabulary.
 pub(super) struct CommonArgs<'a> {
     /// Raw `--variant` value, if given.
     pub variant: Option<&'a str>,
-    /// `--threads N`; `None` selects the sequential reference kernels.
+    /// `--threads N` (`0` = all cores); `None` selects the sequential
+    /// reference kernels.
     pub threads: Option<usize>,
     /// `--instrumented`: tally per-operation counters.
     pub instrumented: bool,
@@ -84,41 +79,24 @@ pub(super) struct CommonArgs<'a> {
 impl<'a> CommonArgs<'a> {
     /// Parses the shared flags and enforces the exclusivity matrix.
     pub(super) fn parse(args: &'a [String]) -> Result<Self, String> {
-        let variant = flag_value(args, "--variant");
-        if variant.is_none() && args.iter().any(|a| a == "--variant") {
-            return Err("--variant requires a value".to_string());
-        }
-        let threads = parse_threads(args)?;
+        let variant = parse_flag(args, "--variant", Ok)?;
+        let threads = parse_number(args, "--threads")?;
         let instrumented = args.iter().any(|a| a == "--instrumented");
         let trace_path = super::trace::parse_trace_path(args)?;
-        if trace_path.is_some() && threads.is_none() {
-            return Err("--trace requires --threads N (only parallel runs are traced)".to_string());
-        }
-        if trace_path.is_some() && instrumented {
-            return Err(
-                "--trace and --instrumented are exclusive (the trace carries the counters)"
-                    .to_string(),
-            );
-        }
-        let token = match parse_timeout(args)? {
-            None => None,
-            Some(timeout) => {
-                if threads.is_none() {
-                    return Err(
-                        "--timeout-ms requires --threads N (only parallel runs are cancellable)"
-                            .to_string(),
-                    );
-                }
-                if instrumented {
-                    return Err(
-                        "--timeout-ms and --instrumented are exclusive (the instrumented paths \
-                         have no cancellation seam)"
-                            .to_string(),
-                    );
-                }
-                Some(CancelToken::new().with_deadline_in(timeout))
-            }
-        };
+        let timeout = parse_number(args, "--timeout-ms")?;
+        let (parallel, traced, timed) =
+            (threads.is_some(), trace_path.is_some(), timeout.is_some());
+        #[rustfmt::skip]
+        let matrix = [
+            (traced && !parallel, "--trace requires --threads N (only parallel runs are traced)"),
+            (traced && instrumented, "--trace and --instrumented are exclusive (the trace carries the counters)"),
+            (timed && !parallel, "--timeout-ms requires --threads N (only parallel runs are cancellable)"),
+            (timed && instrumented, "--timeout-ms and --instrumented are exclusive (the instrumented \
+                                     paths have no cancellation seam)"),
+        ];
+        reject_first(&matrix)?;
+        let token =
+            timeout.map(|ms| CancelToken::new().with_deadline_in(Duration::from_millis(ms)));
         Ok(CommonArgs {
             variant,
             threads,
@@ -128,22 +106,16 @@ impl<'a> CommonArgs<'a> {
         })
     }
 
-    /// The `--variant` value, or `default` when the flag is absent.
-    pub(super) fn variant_or(&self, default: &'a str) -> &'a str {
-        self.variant.unwrap_or(default)
-    }
-
     /// The request-API configuration these flags describe (threads,
     /// instrumentation, deadline). Attach a trace sink on top with
     /// [`RunConfig::traced`] when [`CommonArgs::trace_path`] is set.
     pub(super) fn run_config(&self) -> RunConfig<'_, NoopSink> {
-        let mut config = RunConfig::new()
-            .threads(self.threads.unwrap_or(0))
-            .instrumented(self.instrumented);
-        if let Some(token) = &self.token {
-            config = config.cancel(token);
+        let config = RunConfig::new().threads(self.threads.unwrap_or(0));
+        let config = config.instrumented(self.instrumented);
+        match &self.token {
+            Some(token) => config.cancel(token),
+            None => config,
         }
-        config
     }
 }
 
@@ -167,7 +139,6 @@ mod tests {
         ]);
         let common = CommonArgs::parse(&args).unwrap();
         assert_eq!(common.variant, Some("branch-based"));
-        assert_eq!(common.variant_or("branch-avoiding"), "branch-based");
         assert_eq!(common.threads, Some(4));
         assert!(common.instrumented);
         assert!(common.trace_path.is_none());
@@ -176,7 +147,6 @@ mod tests {
         let bare_args = strings(&["g"]);
         let bare = CommonArgs::parse(&bare_args).unwrap();
         assert_eq!(bare.variant, None);
-        assert_eq!(bare.variant_or("branch-avoiding"), "branch-avoiding");
         assert_eq!(bare.threads, None);
         assert!(!bare.instrumented);
     }

@@ -7,6 +7,7 @@ use bga_graph::io::{
     read_weighted_metis,
 };
 use bga_graph::suite::{SuiteGraphId, SuiteScale};
+use bga_graph::{uniform_weights, AdjacencySource, WeightedAdjacencySource};
 use bga_graph::{CsrGraph, GraphFootprint, WeightedCsrGraph};
 use std::path::Path;
 
@@ -109,6 +110,63 @@ pub fn load_weighted_graph(spec: &str) -> Result<WeightedCsrGraph, String> {
         }
     };
     result.map_err(|e| format!("failed to read {spec}: {e}"))
+}
+
+/// `--weights uniform` draws seeded weights from `1..=UNIFORM_MAX_WEIGHT`.
+const UNIFORM_MAX_WEIGHT: u32 = 32;
+const UNIFORM_SEED: u64 = 42;
+
+/// A kernel's loaded input: a CSR, or a weighted graph that carries one.
+pub(super) enum KernelGraph {
+    Csr(CsrGraph),
+    Weighted(WeightedCsrGraph),
+}
+
+impl KernelGraph {
+    /// Loads `spec` under a `--weights` mode: `unit` keeps the plain CSR,
+    /// `uniform` assigns seeded weights and `file` keeps the file's own.
+    pub(super) fn load(spec: &str, weights: &str) -> Result<Self, String> {
+        Ok(match weights {
+            "uniform" => {
+                let graph = load_graph(spec)?;
+                KernelGraph::Weighted(uniform_weights(&graph, UNIFORM_MAX_WEIGHT, UNIFORM_SEED))
+            }
+            "file" => KernelGraph::Weighted(load_weighted_graph(spec)?),
+            _ => KernelGraph::Csr(load_graph(spec)?),
+        })
+    }
+
+    /// The CSR, borrowed out of a weighted graph rather than cloned.
+    pub(super) fn csr(&self) -> &CsrGraph {
+        match self {
+            KernelGraph::Csr(graph) => graph,
+            KernelGraph::Weighted(graph) => graph.csr(),
+        }
+    }
+
+    /// The loaded graph's memory footprint, weights included.
+    pub(super) fn footprint(&self) -> GraphFootprint {
+        match self {
+            KernelGraph::Csr(graph) => graph.footprint(),
+            KernelGraph::Weighted(graph) => graph.footprint(),
+        }
+    }
+
+    /// The `weights:` summary line of a graph loaded under `weights`;
+    /// `None` when it is unweighted.
+    pub(super) fn weights_line(&self, weights: &str) -> Option<String> {
+        let KernelGraph::Weighted(graph) = self else {
+            return None;
+        };
+        let origin = match weights {
+            "uniform" => format!("uniform 1..={UNIFORM_MAX_WEIGHT} (seed {UNIFORM_SEED})"),
+            _ => "from file".to_string(),
+        };
+        Some(format!(
+            "weights: {origin}, max {}",
+            graph.max_weight().unwrap_or(1)
+        ))
+    }
 }
 
 #[cfg(test)]

@@ -1,18 +1,14 @@
 //! Subcommand dispatch for the `bga` binary.
 
-mod bc;
 mod bench_compare;
-mod bfs;
-mod cc;
 mod common_args;
 mod experiment;
 mod generate;
 mod graph_convert;
 mod graph_input;
-mod kcore;
+mod kernel;
 mod query;
 mod serve;
-mod sssp;
 mod trace;
 
 use bga_parallel::RunOutcome;
@@ -36,6 +32,12 @@ pub enum CliError {
 impl From<String> for CliError {
     fn from(message: String) -> Self {
         CliError::Message(message)
+    }
+}
+
+impl From<std::io::Error> for CliError {
+    fn from(error: std::io::Error) -> Self {
+        CliError::Message(format!("writing output: {error}"))
     }
 }
 
@@ -65,11 +67,7 @@ pub(crate) fn check_deadline(outcome: &RunOutcome) -> Result<(), CliError> {
 /// Usage text printed on argument errors.
 pub const USAGE: &str = "usage:
   bga generate <path|cycle|star|complete|tree|gnp|gnm|ba|ws|grid2d|grid3d|rmat> <args..> [--seed S] <out.metis>
-  bga cc  <graph> [--variant branch-based|branch-avoiding|hybrid|union-find|bfs] [--instrumented] [--threads N] [--trace FILE] [--timeout-ms T]
-  bga bfs <graph> [--root R] [--variant branch-based|branch-avoiding|bottom-up|direction-optimizing] [--strategy auto|top-down|bottom-up] [--instrumented] [--threads N] [--trace FILE] [--timeout-ms T]
-  bga bc  <graph> [--variant branch-based|branch-avoiding] [--sources K] [--threads N] [--trace FILE] [--timeout-ms T]
-  bga kcore <graph> [--variant branch-based|branch-avoiding] [--instrumented] [--threads N] [--trace FILE] [--timeout-ms T]
-  bga sssp <graph> [--root R] [--delta D] [--weights unit|uniform|file] [--variant branch-based|branch-avoiding] [--instrumented] [--threads N] [--trace FILE] [--timeout-ms T]
+  bga <cc|bfs|bc|kcore|sssp> <graph> [--variant V] [--threads N] [--instrumented] [--trace FILE] [--timeout-ms T] [kernel flags]
   bga experiment <table1|table2|suite-summary|scaling [--json]>
   bga bench compare <old1.json> [<old2.json>...] <new.json> [--threshold PCT] [--fail-on-regression]
   bga trace <report|validate> <trace.jsonl>
@@ -83,18 +81,39 @@ coAuthorsDBLP, cond-mat-2005, ldoor. bga graph convert translates between
 the three formats (target picked by the output extension; converting to
 .bgacsr prints the compression footprint).
 
---threads N runs the branch-based / branch-avoiding / direction-optimizing
-kernels on a persistent N-worker pool from the bga-parallel crate (N = 0
-uses every available core); labels, distances, centrality scores, core
-numbers and SSSP distances are identical to the sequential kernels.
---strategy picks the direction policy of the direction-optimizing
-traversal (auto = the α/β frontier heuristic). bga bc runs Brandes
-betweenness centrality (--sources K restricts the accumulation to K
-sources and reports un-normalized partial sums). bga kcore peels the
-k-core decomposition. bga sssp settles shortest paths by delta-stepping:
---weights unit (default) is the BFS-degenerate unit case, uniform assigns
-seeded weights 1..=32, file keeps the graph file's own weights (u v w
-edge lists, edge-weighted METIS); --delta D picks the bucket width.
+The kernel subcommands share their flags. Without --threads a sequential
+reference runs; --threads N runs the parallel kernel on a persistent
+N-worker pool (N = 0 uses every core), with results identical to the
+reference. --instrumented prints the per-step counter table. --trace and
+--timeout-ms need --threads; --instrumented excludes both. --variant auto
+(--threads only) picks the discipline at run time from sampled phases.
+
+  cc     sequential: branch-based, branch-avoiding*, hybrid, union-find, bfs
+         --threads:  branch-based, branch-avoiding*, auto
+  bfs    sequential: branch-based*, branch-avoiding, bottom-up, direction-optimizing
+         --threads:  branch-based*, branch-avoiding, auto, direction-optimizing
+         flags:      --root R, --strategy auto|top-down|bottom-up
+  bc     sequential: branch-based, branch-avoiding*
+         --threads:  branch-based, branch-avoiding*, auto
+         flags:      --sources K
+  kcore  sequential: the peeling reference (no --variant)
+         --threads:  branch-based, branch-avoiding*, auto
+  sssp   sequential: the delta-stepping reference (no --variant)
+         --threads:  branch-based, branch-avoiding*, auto
+         flags:      --root R, --delta D, --weights unit|uniform|file
+  (* = default --variant)
+
+--strategy pins the direction policy of the direction-optimizing traversal
+(auto = the α/β frontier heuristic) and implies that variant. bga bc runs
+Brandes betweenness centrality; --sources K accumulates from the first K
+vertices, reports un-normalized partial sums, and runs branch-based only
+without --threads. --instrumented does not apply to bc; use --trace. bga sssp
+settles shortest paths by delta-stepping: --weights unit (default) is the
+BFS-degenerate unit case, uniform assigns seeded weights 1..=32, file keeps
+the graph file's own weights (u v w edge lists, edge-weighted METIS);
+--delta D picks the bucket width, and with --threads it needs uniform or
+file weights.
+
 The scaling experiment sweeps the parallel SV, BFS, BC, k-core and SSSP
 (unit + weighted) kernels over 1, 2, 4 and 8 threads; --json emits the
 rows as the bga-scaling-v2 JSON document for the CI bench artifact, and
@@ -126,11 +145,7 @@ pub fn dispatch(args: &[String]) -> Result<(), CliError> {
     };
     match command.as_str() {
         "generate" => generate::run(rest).map_err(CliError::from),
-        "cc" => cc::run(rest),
-        "bfs" => bfs::run(rest),
-        "bc" => bc::run(rest),
-        "kcore" => kcore::run(rest),
-        "sssp" => sssp::run(rest),
+        "cc" | "bfs" | "bc" | "kcore" | "sssp" => kernel::run(command, rest),
         "experiment" => experiment::run(rest).map_err(CliError::from),
         "bench" => bench_compare::run(rest).map_err(CliError::from),
         "trace" => trace::run(rest).map_err(CliError::from),
@@ -142,5 +157,60 @@ pub fn dispatch(args: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         other => Err(format!("unknown subcommand {other:?}").into()),
+    }
+}
+
+/// Declares each kernel subcommand's tests under `commands::<kernel>::tests`,
+/// one test per row group of the shared kernel command's invocation table.
+#[cfg(test)]
+macro_rules! kernel_tests {
+    ($($kernel:ident { $($test:ident: $rows:ident),* $(,)? })*) => {$(
+        mod $kernel {
+            mod tests {
+                use crate::commands::kernel::tests::{check, $kernel::*};
+                $(
+                    #[test]
+                    fn $test() {
+                        check($rows);
+                    }
+                )*
+            }
+        }
+    )*};
+}
+
+#[cfg(test)]
+kernel_tests! {
+    cc {
+        runs_on_a_builtin_graph: RUNS,
+        threads_flag_selects_the_parallel_kernels: THREADS,
+        trace_flag_writes_a_jsonl_document: TRACE,
+        timeout_flag_bounds_the_parallel_run: TIMEOUT,
+    }
+    bfs {
+        runs_every_uninstrumented_variant_on_a_builtin_graph: RUNS,
+        threads_flag_selects_the_parallel_kernels: THREADS,
+        trace_flag_writes_a_jsonl_document: TRACE,
+        timeout_flag_bounds_the_parallel_run: TIMEOUT,
+        strategy_flag_drives_the_direction_optimizing_traversal: STRATEGY,
+    }
+    bc {
+        runs_sequential_and_parallel_variants_on_a_builtin_graph: RUNS,
+        trace_flag_writes_a_jsonl_document: TRACE,
+        timeout_flag_bounds_the_sampled_accumulation: TIMEOUT,
+        bad_usage_fails_loudly: BAD_USAGE,
+    }
+    kcore {
+        runs_sequential_and_parallel_on_a_builtin_graph: RUNS,
+        trace_flag_writes_a_jsonl_document: TRACE,
+        timeout_flag_bounds_the_parallel_peel: TIMEOUT,
+        bad_usage_fails_loudly: BAD_USAGE,
+    }
+    sssp {
+        runs_sequential_and_parallel_on_a_builtin_graph: RUNS,
+        runs_weighted_modes: WEIGHTED,
+        trace_flag_writes_a_jsonl_document: TRACE,
+        timeout_flag_bounds_both_parallel_clients: TIMEOUT,
+        bad_usage_fails_loudly: BAD_USAGE,
     }
 }

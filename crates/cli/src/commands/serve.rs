@@ -6,7 +6,7 @@
 //! the same `AdjacencySource` seam the one-shot commands use, so the
 //! answers are bit-identical either way.
 
-use super::common_args::{flag_value, parse_threads};
+use super::common_args::{flag_value, parse_number};
 use bga_graph::{AdjacencySource, CompressedCsrGraph};
 use bga_serve::{ServeOptions, Server};
 
@@ -24,7 +24,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         return Err("--addr requires a HOST:PORT value".to_string());
     }
     let mut options = ServeOptions::default();
-    if let Some(threads) = parse_threads(args)? {
+    if let Some(threads) = parse_number(args, "--threads")? {
         options.threads = threads;
     }
     if let Some(cache) = flag_value(args, "--cache") {

@@ -22,12 +22,7 @@ pub(super) type FileSink = JsonlSink<BufWriter<File>>;
 /// Parses `--trace FILE`: `None` when the flag is absent. A bare
 /// `--trace` with no path is an error, not a silently untraced run.
 pub(super) fn parse_trace_path(args: &[String]) -> Result<Option<&str>, String> {
-    match super::common_args::flag_value(args, "--trace") {
-        None if args.iter().any(|a| a == "--trace") => {
-            Err("--trace requires an output file path".to_string())
-        }
-        other => Ok(other),
-    }
+    super::common_args::parse_flag(args, "--trace", Ok)
 }
 
 /// Opens `path` for writing and wraps it in a [`JsonlSink`].
@@ -37,13 +32,11 @@ pub(super) fn open_trace_sink(path: &str) -> Result<FileSink, String> {
 }
 
 /// Finishes a `--trace` sink, surfacing any write error the sink
-/// swallowed mid-run, and reports the written file.
+/// swallowed mid-run.
 pub(super) fn finish_trace_sink(path: &str, sink: FileSink) -> Result<(), String> {
     sink.finish()
         .and_then(|mut writer| writer.flush())
-        .map_err(|e| format!("writing trace file {path}: {e}"))?;
-    println!("trace written: {path}");
-    Ok(())
+        .map_err(|e| format!("writing trace file {path}: {e}"))
 }
 
 /// Runs the `trace` subcommand family.

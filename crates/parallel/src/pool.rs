@@ -1143,15 +1143,11 @@ mod tests {
         let pool = WorkerPool::with_faults(3, plan);
         // Parked workers race the submitter to pick a batch up; every
         // batch completes regardless, and each worker dies the first time
-        // it wakes for one. Spin batches until both are gone.
-        let mut spins = 0;
-        while pool.lost_workers() < 2 {
+        // it wakes for one. Publish batches until both are gone.
+        await_worker_deaths(&pool, 2, || {
             let sums = pool.run(even_ranges(24, 6), |_i, range| range.sum::<usize>());
             assert_eq!(sums.iter().sum::<usize>(), 276);
-            spins += 1;
-            assert!(spins < 10_000, "workers never picked up a batch");
-            std::thread::yield_now();
-        }
+        });
         assert_eq!(pool.live_workers(), 0);
         // All workers dead: batches fall back to the submitting thread.
         let sums = pool.run(even_ranges(24, 6), |_i, range| range.sum::<usize>());
@@ -1163,14 +1159,30 @@ mod tests {
     #[cfg(debug_assertions)] // the fault seam compiles out of release builds
     fn dropping_a_degraded_pool_does_not_panic() {
         let pool = WorkerPool::with_faults(2, FaultPlan::new().kill_worker(0, 1));
-        let mut spins = 0;
-        while pool.lost_workers() < 1 {
+        await_worker_deaths(&pool, 1, || {
             pool.run(even_ranges(8, 4), |_i, range| range.sum::<usize>());
-            spins += 1;
-            assert!(spins < 10_000, "worker never picked up a batch");
-            std::thread::yield_now();
-        }
+        });
         drop(pool); // must not double panic
+    }
+
+    /// Publishes batches via `submit` until `deaths` workers have died on
+    /// a pick-up. A worker that wakes for a published batch always picks
+    /// it up, so the only way to miss one is to not be scheduled before
+    /// the submitter has drained the batch alone: on a loaded host that
+    /// can outlast any fixed number of back-to-back batches. Sleeping
+    /// between batches hands the workers the CPU, and the bound is
+    /// elapsed time, not a spin count.
+    #[cfg(debug_assertions)]
+    fn await_worker_deaths(pool: &WorkerPool, deaths: usize, mut submit: impl FnMut()) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while pool.lost_workers() < deaths {
+            submit();
+            assert!(
+                std::time::Instant::now() < deadline,
+                "workers never picked up a batch"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
     }
 
     #[test]

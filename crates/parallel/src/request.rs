@@ -56,7 +56,7 @@ use crate::bfs::ParDirBfsRun;
 use crate::cancel::{CancelToken, RunOutcome};
 use crate::engine::TraversalState;
 use crate::kcore::ParKcoreRun;
-use crate::pool::{Execute, PoolConfig, WorkerPool};
+use crate::pool::{parse_grain_override, Execute, WorkerPool, GRAIN_ENV_VAR, PARALLEL_GRAIN};
 use crate::sssp::{ParSsspRun, ParWssspRun};
 use crate::sv::ParSvRun;
 use bga_graph::{AdjacencySource, VertexId, WeightedAdjacencySource};
@@ -280,8 +280,10 @@ impl<'a, S: TraceSink, X: ExecutorAxis> RunConfig<'a, S, X> {
 
     /// The fan-out grain this run will use.
     pub(crate) fn resolved_grain(&self) -> usize {
-        self.grain
-            .unwrap_or_else(|| PoolConfig::from_env(self.threads).grain)
+        self.grain.unwrap_or_else(|| {
+            parse_grain_override(std::env::var(GRAIN_ENV_VAR).ok().as_deref())
+                .unwrap_or(PARALLEL_GRAIN)
+        })
     }
 }
 

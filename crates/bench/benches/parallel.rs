@@ -1,5 +1,5 @@
 //! Criterion wall-clock benches for the parallel kernels: branch-based
-//! (CAS-loop) vs branch-avoiding (fetch-min) Shiloach-Vishkin, parallel
+//! (Algorithm 2) vs branch-avoiding (Algorithm 3) Shiloach-Vishkin, parallel
 //! top-down and direction-optimizing BFS across thread counts,
 //! sampled-source Brandes betweenness, k-core peeling, unit-weight SSSP
 //! and weighted delta-stepping SSSP in both hooking disciplines, and the

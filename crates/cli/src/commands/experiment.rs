@@ -348,7 +348,7 @@ fn run_scaling(json: bool) {
         println!("{graph:<15} {:<22} {note}", "bc/branch-avoiding");
     }
     println!(
-        "check: CAS-loop and fetch-min hooking agree on {} ({} components)",
+        "check: branch-based and branch-avoiding SV agree on {} ({} components)",
         suite[0].name(),
         based.component_count()
     );

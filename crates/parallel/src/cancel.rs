@@ -1,8 +1,8 @@
 //! Cooperative cancellation for the engine loops.
 //!
 //! The paper's branch-avoiding kernels make interruption unusually cheap
-//! to offer: every update is a monotone, idempotent priority write
-//! (`fetch_min` on a distance or label, `fetch_sub` on a degree), so
+//! to offer: every update is monotone and idempotent (a label store never
+//! above the old label, `fetch_min` on a distance, `fetch_sub` on a degree), so
 //! stopping between phases leaves the shared [`crate::TraversalState`] (or
 //! label/degree array) *valid* — each entry is a correct upper bound that a
 //! resumed run can keep lowering — merely unconverged. The engine loops

@@ -41,7 +41,8 @@ pub struct ThreadTally {
     /// Data-dependent conditional branches only (subset of `branches`);
     /// drives the misprediction bound.
     pub data_branches: u64,
-    /// Predicated operations (the `min` inside an atomic fetch-min).
+    /// Predicated operations (a conditional-move `min`, or the one inside
+    /// an atomic fetch-min).
     pub conditional_moves: u64,
 }
 

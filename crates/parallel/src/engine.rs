@@ -1104,6 +1104,12 @@ pub trait SweepKernel<G: AdjacencySource>: Sync {
 
     /// Process the vertex chunk `range` of one sweep; return whether this
     /// chunk changed anything (drives fixpoint detection).
+    ///
+    /// Contract: within one sweep every vertex lies in exactly one chunk,
+    /// and the next sweep starts only after every chunk of this one has
+    /// returned. The per-vertex state of `range` is therefore written by
+    /// this call alone; the Shiloach-Vishkin kernels rely on that to
+    /// update labels with plain `Relaxed` stores.
     fn sweep_chunk(&self, graph: &G, range: Range<usize>, tally: &mut ThreadTally) -> bool;
 }
 
@@ -1166,6 +1172,15 @@ impl<'a, G: AdjacencySource, E: Execute> SweepLoop<'a, G, E> {
                 self.exec.parallelism(),
                 self.grain,
             ),
+        );
+        // The `SweepKernel::sweep_chunk` contract: the chunks tile the
+        // vertex range in order, without gaps or overlap.
+        debug_assert_eq!(
+            ranges.iter().try_fold(0, |next, r| {
+                (r.start == next && r.start <= r.end).then_some(r.end)
+            }),
+            Some(self.graph.num_vertices()),
+            "sweep chunks must tile 0..n: {ranges:?}"
         );
         let mut steps = Vec::new();
         let mut sweeps = 0usize;

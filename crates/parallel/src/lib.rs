@@ -1,11 +1,12 @@
 //! # bga-parallel
 //!
 //! Multi-threaded branch-avoiding kernels for the *Branch-Avoiding Graph
-//! Algorithms* (SPAA 2015) reproduction. The paper frames the
-//! branch-avoiding Shiloach-Vishkin hook as a *priority write* — an
-//! unconditional minimum — which maps directly onto lock-free
-//! `AtomicU32::fetch_min`; this crate realises that observation on a
-//! shared traversal engine:
+//! Algorithms* (SPAA 2015) reproduction, on a shared traversal engine.
+//! Where a kernel writes only the vertices its chunk owns
+//! (Shiloach-Vishkin), it runs the paper's sequential loop bodies with
+//! plain `Relaxed` loads and stores; where it writes to neighbours (BFS,
+//! BC, SSSP, k-core), the branch-avoiding update is an unconditional
+//! atomic *priority write* (`fetch_min`, `fetch_sub`):
 //!
 //! * [`engine`] — the reusable core every kernel is a client of:
 //!   [`TraversalState`] (atomic distances, optional σ counts), the
@@ -15,9 +16,10 @@
 //!   driver for weighted delta-stepping (bucket-indexed frontiers,
 //!   light/heavy passes, deterministic settled-bucket bounds) and the
 //!   [`SweepLoop`] fixpoint driver for label propagation.
-//! * [`sv`] — parallel Shiloach-Vishkin connected components, where
-//!   branch-based hooking is a compare-and-swap loop and branch-avoiding
-//!   hooking is one `fetch_min` per edge.
+//! * [`sv`] — parallel Shiloach-Vishkin connected components: the paper's
+//!   Algorithms 2 and 3 per chunk, a data-dependent branch and a store
+//!   per update vs a conditional-move `min` per edge and one store per
+//!   vertex, with no atomic read-modify-write in either.
 //! * [`bfs`] — parallel level-synchronous BFS: top-down with per-thread
 //!   frontier buffers and a branch-avoiding `fetch_min` distance update,
 //!   plus direction-optimizing BFS whose bottom-up levels pull from a

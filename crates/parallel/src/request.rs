@@ -71,8 +71,10 @@ use bga_obs::{NoopSink, TraceSink};
 pub enum Variant {
     /// Data-dependent test guarding a compare-and-swap claim.
     BranchBased,
-    /// Unconditional priority write (`fetch_min`/`fetch_sub`) with a
-    /// predicated, branch-free claim.
+    /// No data-dependent branch per edge: Shiloach-Vishkin folds labels
+    /// with a conditional-move `min` and stores once per vertex; the
+    /// neighbour-writing kernels issue an unconditional priority write
+    /// (`fetch_min`/`fetch_sub`) with a predicated, branch-free claim.
     BranchAvoiding,
     /// Adaptive: sample the first phases branch-based with tallying on,
     /// feed the perf model's variant advisor, and hot-switch to the

@@ -1,7 +1,8 @@
 //! Strong-scaling demo for the parallel branch-avoiding kernels.
 //!
 //! Generates a mid-sized power-law graph and a mesh, runs both parallel SV
-//! hooking disciplines (CAS-loop vs atomic fetch-min) and both parallel BFS
+//! disciplines (Algorithm 2's branch vs Algorithm 3's register `min`, one
+//! writer per label in both) and both parallel BFS
 //! variants at increasing thread counts, and prints per-configuration
 //! timings plus the speedup over the single-threaded run. Results are
 //! verified against the sequential kernels on every configuration, so the
@@ -80,7 +81,7 @@ fn main() {
             if threads == 1 {
                 sv_based_base = ms;
             }
-            report("sv CAS-loop (branchy)", threads, ms, sv_based_base);
+            report("sv branch (Alg. 2)", threads, ms, sv_based_base);
         }
         for &threads in &thread_counts {
             let (labels, ms) = time_ms(|| {
@@ -92,7 +93,7 @@ fn main() {
             if threads == 1 {
                 sv_avoid_base = ms;
             }
-            report("sv fetch-min (avoiding)", threads, ms, sv_avoid_base);
+            report("sv cmov min (Alg. 3)", threads, ms, sv_avoid_base);
         }
         for &threads in &thread_counts {
             let (result, ms) = time_ms(|| {

@@ -22,7 +22,7 @@
 //!   shared table renderer behind the CLI's `--instrumented` and
 //!   `trace report` output.
 //! * [`parallel`] ([`bga_parallel`]) — multi-threaded kernels on one
-//!   traversal engine: atomic fetch-min Shiloach-Vishkin,
+//!   traversal engine: Shiloach-Vishkin with one writer per label,
 //!   level-synchronous parallel BFS (top-down and direction-optimizing
 //!   over a shared bitmap frontier), parallel Brandes betweenness
 //!   centrality, k-core peeling over atomic degree counters, unit-weight

@@ -210,8 +210,8 @@ fn bench_parallel_sssp_weighted(c: &mut Criterion) {
 }
 
 /// The compressed-representation contrast: raw decode throughput of the
-/// branch-avoiding varint cursor (a full adjacency sweep summing every
-/// decoded neighbour), then BFS and unit SSSP on the delta-varint
+/// branch-avoiding group-varint cursor (a full adjacency sweep summing
+/// every decoded neighbour), then BFS and unit SSSP on the group-varint
 /// [`CompressedCsrGraph`] against the same kernels on the `Vec` CSR, plus
 /// the weighted bucket loop on [`CompressedWeightedGraph`]. The
 /// csr-vs-compressed gap at matched thread counts is the decode overhead

@@ -187,7 +187,7 @@ fn sweep_kernel(
 /// SSSP (static and `auto`) and weighted delta-stepping SSSP on every
 /// suite graph at 1, 2, 4
 /// and 8 worker threads — plus the BFS and SSSP sweeps repeated on the
-/// delta-varint compressed representation so decode overhead is a tracked
+/// group-varint compressed representation so decode overhead is a tracked
 /// quantity — with
 /// per-thread-count wall-clock timings and the speedup of each
 /// configuration over its own single-thread run. With `json` the rows are
@@ -282,7 +282,7 @@ fn run_scaling(json: bool) {
             );
             assert_eq!(run.result.distances().len(), sg.graph.num_vertices());
         });
-        // The same traversals on the delta-varint compressed representation:
+        // The same traversals on the group-varint compressed representation:
         // the time_ms delta against the rows above is the decode overhead
         // `bga bench compare` tracks across snapshots.
         let cg = CompressedCsrGraph::from_csr(&sg.graph);

@@ -1,5 +1,5 @@
 //! `bga graph convert`: translate between the textual graph formats and
-//! the `bga-csr-v1` delta-varint binary.
+//! the `bga-csr-v2` group-varint binary.
 //!
 //! The target format is picked by the output path's extension, exactly
 //! like the kernel subcommands pick their input parser: `.metis`/`.graph`
@@ -45,7 +45,7 @@ fn convert(args: &[String]) -> Result<(), String> {
         return Err("graph convert needs exactly two paths: <in> <out>".to_string());
     };
     // The loader already dispatches on the input extension (METIS,
-    // edge list or bga-csr-v1 binary) and resolves suite names, so any
+    // edge list or bga-csr-v2 binary) and resolves suite names, so any
     // supported source converts to any supported target.
     let graph: CsrGraph = load_graph(input)?;
     match output_format(output) {

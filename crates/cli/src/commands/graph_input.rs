@@ -15,7 +15,7 @@ use std::path::Path;
 enum GraphFormat {
     Metis,
     EdgeList,
-    /// `bga-csr-v1` delta-varint binary (`.bgacsr`), written by
+    /// `bga-csr-v2` group-varint binary (`.bgacsr`), written by
     /// `bga graph convert`.
     Compressed,
 }
@@ -104,7 +104,7 @@ pub fn load_weighted_graph(spec: &str) -> Result<WeightedCsrGraph, String> {
         GraphFormat::EdgeList => read_weighted_edge_list(path),
         GraphFormat::Compressed => {
             return Err(format!(
-                "{spec:?} is a bga-csr-v1 binary, which carries no weights; \
+                "{spec:?} is a bga-csr-v2 binary, which carries no weights; \
                  use --weights uniform or a weighted METIS/edge-list file"
             ))
         }

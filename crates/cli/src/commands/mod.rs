@@ -75,7 +75,7 @@ pub const USAGE: &str = "usage:
   bga serve <graph> [--addr HOST:PORT] [--threads N] [--cache N] [--compressed]
   bga query <addr> <distance|path --root R --target T | component|core|bc-rank --vertex V | stats | shutdown> [--variant V] [--timeout-ms T]
 
-<graph> is a METIS (.metis/.graph), edge-list, or bga-csr-v1 compressed
+<graph> is a METIS (.metis/.graph), edge-list, or bga-csr-v2 group-varint
 binary (.bgacsr) file, or a built-in suite name: audikw1, auto,
 coAuthorsDBLP, cond-mat-2005, ldoor. bga graph convert translates between
 the three formats (target picked by the output extension; converting to
@@ -131,7 +131,7 @@ run stops promptly, prints the valid partial summary it reached (every
 distance/label/core bound is a correct monotone bound), marks a --trace
 stream as interrupted, and exits with code 124.
 bga serve loads <graph> once into an immutable snapshot (--compressed
-serves the delta-varint CSR) and answers distance / path / component /
+serves the group-varint CSR) and answers distance / path / component /
 core / bc-rank queries concurrently over newline-delimited bga-serve-v1
 JSON on TCP, memoizing complete traversals in an LRU (--cache N entries)
 and answering over-deadline queries (timeout_ms in the request) with a

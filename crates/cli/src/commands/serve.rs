@@ -2,7 +2,7 @@
 //!
 //! Loads the graph once into an immutable snapshot, binds a TCP
 //! listener and answers `bga-serve-v1` queries until a `shutdown`
-//! request arrives. `--compressed` serves the delta-varint CSR through
+//! request arrives. `--compressed` serves the group-varint CSR through
 //! the same `AdjacencySource` seam the one-shot commands use, so the
 //! answers are bit-identical either way.
 

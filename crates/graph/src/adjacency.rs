@@ -6,7 +6,7 @@
 //! balance work on degree prefix sums. [`AdjacencySource`] (and its
 //! weighted sibling [`WeightedAdjacencySource`]) capture exactly that
 //! surface, so the same generic kernel entry points run on the plain
-//! [`CsrGraph`] `Vec` layout and on the delta-varint
+//! [`CsrGraph`] `Vec` layout and on the group-varint
 //! [`crate::compressed::CompressedCsrGraph`] without a line of duplicated
 //! traversal code.
 //!
@@ -20,7 +20,7 @@
 //!   prefix (`prefix[v]` = edge slots owned by vertices `0..v`), so the
 //!   edge-balanced chunkers produce the same ranges on either
 //!   representation. `CsrGraph` borrows its offsets array for free; the
-//!   compressed form materialises the prefix from its rank/select index.
+//!   compressed form materialises the prefix from its per-vertex degrees.
 
 use crate::csr::{CsrGraph, VertexId};
 use crate::weighted::{EdgeWeight, WeightedCsrGraph};
@@ -33,10 +33,11 @@ pub struct GraphFootprint {
     /// Representation name (`"csr"` or `"compressed"`).
     pub representation: &'static str,
     /// Bytes holding the adjacency payload (the `Vec<u32>` adjacency
-    /// array, or the delta-varint byte stream including its padding).
+    /// array, or the group-varint byte stream including its padding).
     pub adjacency_bytes: u64,
     /// Bytes holding the offsets structure (the `Vec<usize>` offsets
-    /// array, or the rank/select bitmap words plus select samples).
+    /// array, or the compressed form's `u32` block start and `u32` degree
+    /// per vertex, 8 bytes each).
     pub index_bytes: u64,
     /// Bytes the plain `Vec` CSR layout of the same graph occupies —
     /// the baseline the compression ratio is measured against.

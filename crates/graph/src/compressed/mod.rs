@@ -1,32 +1,31 @@
-//! Delta-varint compressed CSR: the second graph representation.
+//! Group-varint compressed CSR: the second graph representation.
 //!
-//! [`CompressedCsrGraph`] stores each vertex's sorted neighbour list as a
-//! byte-aligned varint block:
+//! [`CompressedCsrGraph`] stores each vertex's sorted neighbour list as
+//! one block of the split control/data codec in [`varint`]:
 //!
 //! ```text
-//! block(v) = varint(degree)
-//!            varint(zigzag(first_neighbour - v))     (if degree > 0)
-//!            varint(gap) * (degree - 1)              (gap = w[i] - w[i-1])
+//! values(v) = zigzag32(first - v)   (wrapping mod 2³², if degree > 0)
+//!             gap * (degree - 1)      (gap = w[i] - w[i-1])
+//! block(v)  = ctrl[⌈degree/4⌉]  data[..]
 //! ```
 //!
 //! The first neighbour is zig-zag encoded relative to the source vertex —
 //! locality in real graphs makes that delta small — and subsequent gaps
-//! are non-negative raw varints (a zero gap encodes the duplicate
-//! neighbours [`CsrGraph`] permits). A degree-0 vertex still owns one
-//! payload byte (`0x00`), so every vertex has a distinct block start.
+//! are non-negative (a zero gap encodes the duplicate neighbours
+//! [`CsrGraph`] permits). Each control byte holds four 2-bit length codes
+//! (1–4 bytes per value); the data bytes follow. A degree-0 vertex owns
+//! an empty block.
 //!
-//! In place of the `Vec<usize>` offsets array, a [`RankSelectBitmap`]
-//! marks block starts with one bit per payload byte: `select1(v)` is the
-//! byte offset of vertex `v`'s block. The decode path
-//! ([`super::compressed::varint::decode_varint`] via [`NeighborCursor`])
-//! is branch-avoiding: continuation-bit arithmetic over an 8-byte window,
-//! masked shifts, and an eager one-ahead decode so `next()` never takes a
-//! data-dependent branch on the byte stream.
+//! In place of the `Vec<usize>` offsets array, a `u32` block start and a
+//! `u32` degree per vertex (8 B/vertex) locate each block, so `degree()`
+//! is one load and `degree_prefix()` a prefix sum. The decode path
+//! ([`varint::decode_value`] via [`NeighborCursor`]) is branch-avoiding:
+//! each value's length comes from its control byte, never from its own
+//! bytes, and the cursor decodes one value ahead so `next()` never takes
+//! a data-dependent branch on the byte stream.
 //!
 //! [`CsrGraph`]: crate::csr::CsrGraph
-//! [`RankSelectBitmap`]: rank::RankSelectBitmap
 
-pub mod rank;
 pub mod varint;
 mod weighted;
 
@@ -34,25 +33,102 @@ pub use weighted::CompressedWeightedGraph;
 
 use crate::adjacency::{csr_layout_bytes, AdjacencySource, GraphFootprint};
 use crate::csr::{CsrGraph, VertexId};
-use rank::RankSelectBitmap;
 use std::borrow::Cow;
 use varint::{
-    decode_varint, decode_varint_checked, encode_varint, zigzag_decode, zigzag_encode,
+    control_bytes, decode_block_checked, decode_first, decode_value, encode_block, encode_first,
     PADDING_BYTES,
 };
 
-/// A CSR graph with delta-varint compressed adjacency and a rank/select
-/// offsets index. Construct with [`CompressedCsrGraph::from_csr`] or load
-/// a validated byte stream with [`CompressedCsrGraph::from_parts`].
+/// Every vertex's block back to back, plus the per-vertex index. Shared
+/// by the unweighted and the weighted compressed graphs, which differ in
+/// how many values one edge contributes.
+///
+/// Invariant, which the cursors' unchecked decodes rely on: vertex `v`'s
+/// block starts at `starts[v]`, holds `degrees[v]` edges' values, and
+/// ends at or before the payload end, after which `bytes` carries
+/// [`PADDING_BYTES`] zeros. Only [`Blocks::encode`] and
+/// [`CompressedCsrGraph::from_parts`], after checking every block, build
+/// one, and nothing mutates one.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Blocks {
+    /// The blocks, plus [`PADDING_BYTES`] trailing zeros so the cursors'
+    /// 4-byte loads stay in bounds.
+    bytes: Vec<u8>,
+    /// Byte offset of each vertex's block.
+    starts: Vec<u32>,
+    /// Edge slots of each vertex.
+    degrees: Vec<u32>,
+}
+
+impl Blocks {
+    /// Encodes `n` blocks; `fill(v, values)` pushes vertex `v`'s values,
+    /// `values_per_edge` of them per edge slot.
+    fn encode(
+        n: usize,
+        values_per_edge: usize,
+        mut fill: impl FnMut(VertexId, &mut Vec<u32>),
+    ) -> Self {
+        let mut bytes = Vec::new();
+        let mut starts = Vec::with_capacity(n);
+        let mut degrees = Vec::with_capacity(n);
+        let mut values = Vec::new();
+        for v in 0..n {
+            values.clear();
+            fill(v as VertexId, &mut values);
+            starts.push(
+                u32::try_from(bytes.len())
+                    .expect("compressed payload exceeds the u32 block-start range"),
+            );
+            degrees
+                .push(u32::try_from(values.len() / values_per_edge).expect("degree exceeds u32"));
+            encode_block(&values, &mut bytes);
+        }
+        bytes.extend_from_slice(&[0u8; PADDING_BYTES]);
+        Blocks {
+            bytes,
+            starts,
+            degrees,
+        }
+    }
+
+    /// The blocks without the decoder padding.
+    fn payload(&self) -> &[u8] {
+        &self.bytes[..self.bytes.len() - PADDING_BYTES]
+    }
+
+    /// Bytes of the per-vertex start and degree arrays.
+    fn index_bytes(&self) -> u64 {
+        (4 * (self.starts.len() + self.degrees.len())) as u64
+    }
+
+    /// Where vertex `v`'s block starts and how many edge slots it holds.
+    #[inline(always)]
+    fn locate(&self, v: VertexId) -> (usize, usize) {
+        (
+            self.starts[v as usize] as usize,
+            self.degrees[v as usize] as usize,
+        )
+    }
+
+    /// The CSR offsets: a prefix sum over the degrees.
+    fn degree_prefix(&self) -> Vec<usize> {
+        let mut prefix = Vec::with_capacity(self.degrees.len() + 1);
+        prefix.push(0usize);
+        let mut total = 0usize;
+        for &degree in &self.degrees {
+            total += degree as usize;
+            prefix.push(total);
+        }
+        prefix
+    }
+}
+
+/// A CSR graph with group-varint compressed adjacency and a per-vertex
+/// block index. Construct with [`CompressedCsrGraph::from_csr`] or load a
+/// validated byte stream with [`CompressedCsrGraph::from_parts`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompressedCsrGraph {
-    /// Varint blocks back to back, plus [`PADDING_BYTES`] trailing zeros
-    /// so the windowed decoder can always load 8 bytes.
-    payload: Vec<u8>,
-    /// Payload length excluding the decoder padding.
-    payload_len: usize,
-    /// One bit per payload byte, set at each vertex's block start.
-    index: RankSelectBitmap,
+    blocks: Blocks,
     num_vertices: usize,
     num_edge_slots: usize,
     undirected: bool,
@@ -62,126 +138,96 @@ impl CompressedCsrGraph {
     /// Compresses a [`CsrGraph`]. The encoding is lossless: neighbour
     /// order (including duplicates) is preserved exactly.
     pub fn from_csr(graph: &CsrGraph) -> Self {
-        let n = graph.num_vertices();
-        let mut payload = Vec::new();
-        let mut starts = Vec::with_capacity(n);
-        for v in graph.vertices() {
-            starts.push(payload.len());
-            let neighbors = graph.neighbors(v);
-            encode_varint(neighbors.len() as u64, &mut payload);
-            if let Some((&first, rest)) = neighbors.split_first() {
-                encode_varint(zigzag_encode(i64::from(first) - i64::from(v)), &mut payload);
+        let blocks = Blocks::encode(graph.num_vertices(), 1, |v, values| {
+            if let Some((&first, rest)) = graph.neighbors(v).split_first() {
+                values.push(encode_first(v, first));
                 let mut prev = first;
                 for &w in rest {
-                    encode_varint(u64::from(w - prev), &mut payload);
+                    values.push(w - prev);
                     prev = w;
                 }
             }
-        }
-        let payload_len = payload.len();
-        payload.extend_from_slice(&[0u8; PADDING_BYTES]);
-        let index = RankSelectBitmap::from_set_positions(payload_len, &starts);
+        });
         CompressedCsrGraph {
-            payload,
-            payload_len,
-            index,
-            num_vertices: n,
+            blocks,
+            num_vertices: graph.num_vertices(),
             num_edge_slots: graph.num_edge_slots(),
             undirected: graph.is_undirected(),
         }
     }
 
-    /// Reassembles a graph from its serialized parts (`payload` without
-    /// decoder padding, the index bitmap's backing words), validating the
-    /// whole stream: block starts must match the bitmap, every varint must
-    /// terminate inside the payload, neighbours must be sorted and in
-    /// range, and the edge/vertex counts must add up. Malformed streams
-    /// are rejected here once so the hot decode path stays unchecked.
+    /// Reassembles a graph from its serialized parts (the per-vertex
+    /// degrees and the payload without decoder padding), validating the
+    /// whole stream: the degrees must add up to `num_edge_slots`, every
+    /// block must be canonical (no stray length codes, no run past the
+    /// payload, minimal lengths), neighbours must be in range, and no
+    /// bytes may follow the last block. The block starts are derived on
+    /// the way. Malformed streams are rejected here once so the hot
+    /// decode path stays unchecked, and a stream that loads re-encodes to
+    /// the same bytes.
     pub fn from_parts(
         num_vertices: usize,
         num_edge_slots: usize,
         undirected: bool,
+        degrees: Vec<u32>,
         payload: Vec<u8>,
-        index_words: Vec<u64>,
     ) -> Result<Self, String> {
-        let payload_len = payload.len();
-        if index_words.len() != payload_len.div_ceil(64) {
+        if degrees.len() != num_vertices {
             return Err(format!(
-                "index has {} words but {payload_len} payload bytes need {}",
-                index_words.len(),
-                payload_len.div_ceil(64)
+                "{} degrees for {num_vertices} vertices",
+                degrees.len()
             ));
         }
-        if !payload_len.is_multiple_of(64) {
-            if let Some(&last) = index_words.last() {
-                if last >> (payload_len % 64) != 0 {
-                    return Err("index carries bits beyond the payload".to_string());
-                }
-            }
-        }
-        let index = RankSelectBitmap::from_words(index_words, payload_len);
-        if index.count_ones() != num_vertices {
+        if num_vertices > VertexId::MAX as usize + 1 {
             return Err(format!(
-                "index marks {} block starts for {num_vertices} vertices",
-                index.count_ones()
+                "{num_vertices} vertices overflow the u32 vertex ids"
+            ));
+        }
+        let total: u64 = degrees.iter().map(|&d| u64::from(d)).sum();
+        if total != num_edge_slots as u64 {
+            return Err(format!(
+                "degrees sum to {total} edge slots, header claims {num_edge_slots}"
             ));
         }
 
+        let mut starts = Vec::with_capacity(num_vertices);
+        let mut values = Vec::new();
         let mut pos = 0usize;
-        let mut total_edges = 0usize;
-        {
-            let mut block_starts = index.iter_ones();
-            for v in 0..num_vertices {
-                if block_starts.next() != Some(pos) {
-                    return Err(format!("vertex {v}: block start does not match the index"));
+        for (v, &degree) in degrees.iter().enumerate() {
+            starts.push(
+                u32::try_from(pos)
+                    .map_err(|_| format!("vertex {v}: block starts past the u32 range"))?,
+            );
+            values.clear();
+            pos = decode_block_checked(&payload, pos, degree as usize, &mut values)
+                .map_err(|e| format!("vertex {v}: {e}"))?;
+            if let Some((&code, gaps)) = values.split_first() {
+                // Gaps are non-negative, so the last neighbour is the largest.
+                let last = gaps
+                    .iter()
+                    .fold(u64::from(decode_first(v as VertexId, code)), |w, &gap| {
+                        w.saturating_add(u64::from(gap))
+                    });
+                if last >= num_vertices as u64 {
+                    return Err(format!("vertex {v}: neighbour {last} out of range"));
                 }
-                let (degree, len) = decode_varint_checked(&payload, pos)
-                    .ok_or_else(|| format!("vertex {v}: truncated degree header"))?;
-                pos += len;
-                let degree = usize::try_from(degree)
-                    .map_err(|_| format!("vertex {v}: degree overflows usize"))?;
-                if degree > 0 {
-                    let (code, len) = decode_varint_checked(&payload, pos)
-                        .ok_or_else(|| format!("vertex {v}: truncated first neighbour"))?;
-                    pos += len;
-                    let first = i64::try_from(v).unwrap() + zigzag_decode(code);
-                    if first < 0 || first >= num_vertices as i64 {
-                        return Err(format!("vertex {v}: first neighbour {first} out of range"));
-                    }
-                    let mut prev = first as u64;
-                    for slot in 1..degree {
-                        let (gap, len) = decode_varint_checked(&payload, pos).ok_or_else(|| {
-                            format!("vertex {v}: truncated gap at neighbour slot {slot}")
-                        })?;
-                        pos += len;
-                        let next = prev + gap;
-                        if next >= num_vertices as u64 {
-                            return Err(format!("vertex {v}: neighbour {next} out of range"));
-                        }
-                        prev = next;
-                    }
-                }
-                total_edges += degree;
             }
         }
-        if pos != payload_len {
+        if pos != payload.len() {
             return Err(format!(
                 "payload has {} trailing bytes past the last block",
-                payload_len - pos
-            ));
-        }
-        if total_edges != num_edge_slots {
-            return Err(format!(
-                "blocks encode {total_edges} edge slots, header claims {num_edge_slots}"
+                payload.len() - pos
             ));
         }
 
-        let mut payload = payload;
-        payload.extend_from_slice(&[0u8; PADDING_BYTES]);
+        let mut bytes = payload;
+        bytes.extend_from_slice(&[0u8; PADDING_BYTES]);
         Ok(CompressedCsrGraph {
-            payload,
-            payload_len,
-            index,
+            blocks: Blocks {
+                bytes,
+                starts,
+                degrees,
+            },
             num_vertices,
             num_edge_slots,
             undirected,
@@ -190,14 +236,11 @@ impl CompressedCsrGraph {
 
     /// Decompresses back to the `Vec` CSR layout.
     pub fn to_csr(&self) -> CsrGraph {
-        let mut offsets = Vec::with_capacity(self.num_vertices + 1);
-        offsets.push(0usize);
         let mut adjacency = Vec::with_capacity(self.num_edge_slots);
         for v in 0..self.num_vertices {
             adjacency.extend(self.neighbor_cursor(v as VertexId));
-            offsets.push(adjacency.len());
         }
-        CsrGraph::from_raw_parts(offsets, adjacency, self.undirected)
+        CsrGraph::from_raw_parts(self.blocks.degree_prefix(), adjacency, self.undirected)
             .expect("a validated compressed graph always decompresses to a valid CSR")
     }
 
@@ -216,13 +259,14 @@ impl CompressedCsrGraph {
         self.undirected
     }
 
-    /// Out-degree of `v`, decoded from the block header at `select1(v)`.
+    /// Out-degree of `v`, read from the index.
+    #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
-        let pos = self.index.select1(v as usize);
-        decode_varint(&self.payload, pos).0 as usize
+        self.blocks.degrees[v as usize] as usize
     }
 
     /// Branch-avoiding cursor over the neighbours of `v`.
+    #[inline]
     pub fn neighbor_cursor(&self, v: VertexId) -> NeighborCursor<'_> {
         NeighborCursor::new(self, v)
     }
@@ -230,22 +274,13 @@ impl CompressedCsrGraph {
     /// The compressed payload, without the decoder padding — what the
     /// on-disk format serializes.
     pub fn payload(&self) -> &[u8] {
-        &self.payload[..self.payload_len]
+        self.blocks.payload()
     }
 
-    /// The offsets bitmap's backing words — what the on-disk format
-    /// serializes next to the payload.
-    pub fn index_words(&self) -> &[u64] {
-        self.index.words()
-    }
-
-    fn compute_footprint(&self) -> GraphFootprint {
-        GraphFootprint {
-            representation: "compressed",
-            adjacency_bytes: self.payload.len() as u64,
-            index_bytes: self.index.heap_bytes() as u64,
-            csr_bytes: csr_layout_bytes(self.num_vertices, self.num_edge_slots),
-        }
+    /// Every vertex's degree — what the on-disk format serializes next to
+    /// the payload (the block starts follow from the two).
+    pub fn degrees(&self) -> &[u32] {
+        &self.blocks.degrees
     }
 }
 
@@ -278,58 +313,59 @@ impl AdjacencySource for CompressedCsrGraph {
     }
 
     fn degree_prefix(&self) -> Cow<'_, [usize]> {
-        // Materialise the CSR offsets from the block headers: one degree
-        // decode per vertex, block starts straight off the index bitmap.
-        let mut prefix = Vec::with_capacity(self.num_vertices + 1);
-        prefix.push(0usize);
-        let mut total = 0usize;
-        for pos in self.index.iter_ones() {
-            let (degree, _) = decode_varint(&self.payload, pos);
-            total += degree as usize;
-            prefix.push(total);
-        }
-        Cow::Owned(prefix)
+        Cow::Owned(self.blocks.degree_prefix())
     }
 
     fn footprint(&self) -> GraphFootprint {
-        self.compute_footprint()
+        GraphFootprint {
+            representation: "compressed",
+            adjacency_bytes: self.blocks.bytes.len() as u64,
+            index_bytes: self.blocks.index_bytes(),
+            csr_bytes: csr_layout_bytes(self.num_vertices, self.num_edge_slots),
+        }
     }
 }
 
-/// Iterator over one vertex's neighbours, decoding delta varints with the
-/// branch-avoiding windowed decoder.
+/// Iterator over one vertex's neighbours, decoding its block with the
+/// branch-avoiding control-byte decoder.
 ///
 /// The cursor keeps one decoded value of lookahead: `next()` returns the
 /// stored value and eagerly decodes the following gap, so the hot loop is
 /// pure arithmetic — the only branch is the loop-termination count check,
 /// which every iterator shares. The eager decode after the final element
-/// reads into the next block or the stream padding; the result is
-/// discarded, and the padding guarantees the 8-byte window is always in
-/// bounds.
+/// reads a control byte inside the block (or the first data byte) and
+/// data at the block end, in the next block or the stream padding; the
+/// result is discarded.
 #[derive(Clone, Debug)]
 pub struct NeighborCursor<'a> {
     bytes: &'a [u8],
-    pos: usize,
+    /// The block's first control byte.
+    ctrl: usize,
+    /// Data position of the value the lookahead decodes next.
+    data: usize,
+    /// Index of that value within the block.
+    slot: usize,
     remaining: usize,
     next_val: VertexId,
 }
 
 impl<'a> NeighborCursor<'a> {
+    #[inline]
     fn new(graph: &'a CompressedCsrGraph, v: VertexId) -> Self {
-        let mut pos = graph.index.select1(v as usize);
-        let (degree, len) = decode_varint(&graph.payload, pos);
-        pos += len;
-        let mut next_val = 0;
-        if degree > 0 {
-            let (code, len) = decode_varint(&graph.payload, pos);
-            pos += len;
-            next_val = (i64::from(v) + zigzag_decode(code)) as VertexId;
-        }
+        let bytes = &graph.blocks.bytes;
+        let (ctrl, degree) = graph.blocks.locate(v);
+        let data = ctrl + control_bytes(degree);
+        // SAFETY: by the `Blocks` invariant, `ctrl` and `data` lie at or
+        // before the payload end (for an empty block both are its start),
+        // and PADDING_BYTES >= 4 bytes follow the payload.
+        let (code, len) = unsafe { decode_value(bytes, ctrl, 0, data) };
         NeighborCursor {
-            bytes: &graph.payload,
-            pos,
-            remaining: degree as usize,
-            next_val,
+            bytes,
+            ctrl,
+            data: data + len,
+            slot: 1,
+            remaining: degree,
+            next_val: decode_first(v, code),
         }
     }
 }
@@ -345,11 +381,16 @@ impl Iterator for NeighborCursor<'_> {
         self.remaining -= 1;
         let current = self.next_val;
         // Eager lookahead: decode the next gap unconditionally. Past the
-        // last neighbour this reads the following block header or the
-        // padding; the value is never yielded.
-        let (gap, len) = decode_varint(self.bytes, self.pos);
-        self.pos += len;
-        self.next_val = self.next_val.wrapping_add(gap as VertexId);
+        // last neighbour the value is never yielded.
+        // SAFETY: `slot <= degree`. Below `degree` the value lies inside
+        // the block. At `degree` its control byte is at most the block's
+        // first data byte and its data starts at the block end, both at or
+        // before the payload end, which PADDING_BYTES >= 4 bytes follow
+        // (the `Blocks` invariant).
+        let (gap, len) = unsafe { decode_value(self.bytes, self.ctrl, self.slot, self.data) };
+        self.data += len;
+        self.slot += 1;
+        self.next_val = self.next_val.wrapping_add(gap);
         Some(current)
     }
 
@@ -376,6 +417,16 @@ mod tests {
             // Duplicate neighbours (zero gaps) and a self-loop.
             CsrGraph::from_raw_parts(vec![0, 3, 4, 4], vec![0, 1, 1, 2], false).unwrap(),
         ]
+    }
+
+    fn reload(graph: &CompressedCsrGraph, payload: Vec<u8>) -> Result<CompressedCsrGraph, String> {
+        CompressedCsrGraph::from_parts(
+            graph.num_vertices(),
+            graph.num_edge_slots(),
+            graph.is_undirected(),
+            graph.degrees().to_vec(),
+            payload,
+        )
     }
 
     #[test]
@@ -407,17 +458,15 @@ mod tests {
 
     #[test]
     fn serialized_parts_round_trip_through_validation() {
-        let csr = barabasi_albert(300, 3, 11);
-        let compressed = CompressedCsrGraph::from_csr(&csr);
-        let rebuilt = CompressedCsrGraph::from_parts(
-            compressed.num_vertices(),
-            compressed.num_edge_slots(),
-            compressed.is_undirected(),
-            compressed.payload().to_vec(),
-            compressed.index_words().to_vec(),
-        )
-        .expect("valid parts must load");
-        assert_eq!(rebuilt, compressed);
+        for csr in round_trip_cases() {
+            let compressed = CompressedCsrGraph::from_csr(&csr);
+            let rebuilt =
+                reload(&compressed, compressed.payload().to_vec()).expect("valid parts must load");
+            assert_eq!(rebuilt, compressed);
+            // Canonical form: re-encoding what loaded gives the same bytes.
+            let reencoded = CompressedCsrGraph::from_csr(&rebuilt.to_csr());
+            assert_eq!(reencoded.payload(), compressed.payload());
+        }
     }
 
     #[test]
@@ -427,6 +476,7 @@ mod tests {
         let fp = AdjacencySource::footprint(&compressed);
         assert_eq!(fp.representation, "compressed");
         assert_eq!(fp.csr_bytes, AdjacencySource::footprint(&csr).csr_bytes);
+        assert_eq!(fp.index_bytes, 8 * csr.num_vertices() as u64);
         assert!(
             fp.total_bytes() < fp.csr_bytes,
             "{} compressed bytes vs {} csr bytes",
@@ -438,43 +488,87 @@ mod tests {
 
     #[test]
     fn corrupt_parts_are_rejected() {
-        let csr = star_graph(20);
-        let good = CompressedCsrGraph::from_csr(&csr);
+        let good = CompressedCsrGraph::from_csr(&star_graph(20));
         let n = good.num_vertices();
         let m = good.num_edge_slots();
         let payload = good.payload().to_vec();
-        let words = good.index_words().to_vec();
+        let degrees = good.degrees().to_vec();
+        let load = |n, m, degrees: &[u32], payload: &[u8]| {
+            CompressedCsrGraph::from_parts(n, m, true, degrees.to_vec(), payload.to_vec())
+        };
 
         // Truncated payload.
-        let mut short = payload.clone();
-        short.pop();
-        assert!(CompressedCsrGraph::from_parts(n, m, true, short, words.clone()).is_err());
+        assert!(load(n, m, &degrees, &payload[..payload.len() - 1]).is_err());
         // Wrong edge count in the header.
-        assert!(
-            CompressedCsrGraph::from_parts(n, m + 1, true, payload.clone(), words.clone()).is_err()
-        );
+        assert!(load(n, m + 1, &degrees, &payload).is_err());
         // Wrong vertex count.
-        assert!(
-            CompressedCsrGraph::from_parts(n + 1, m, true, payload.clone(), words.clone()).is_err()
-        );
-        // Flipped payload byte: either a block-start mismatch, a range
-        // error, or a count mismatch — never a panic.
+        assert!(load(n + 1, m, &degrees, &payload).is_err());
+        // Degrees that move edges between vertices: the block boundaries
+        // no longer line up.
+        let mut shifted = degrees.clone();
+        shifted[0] -= 1;
+        shifted[1] += 1;
+        assert!(load(n, m, &shifted, &payload).is_err());
+        // A neighbour past the last vertex.
+        let far = CompressedCsrGraph::from_csr(&path_graph(2));
+        let mut payload2 = far.payload().to_vec();
+        payload2[1] = 4; // zigzag(2): vertex 0's first neighbour is 2
+        assert!(reload(&far, payload2).unwrap_err().contains("out of range"));
+        // Flipped payload bytes never panic.
         for i in 0..payload.len() {
             let mut corrupt = payload.clone();
             corrupt[i] ^= 0x81;
-            let _ = CompressedCsrGraph::from_parts(n, m, true, corrupt, words.clone());
+            let _ = load(n, m, &degrees, &corrupt);
         }
-        // A continuation run with no terminator must not panic either.
-        let endless = vec![0x80u8; 12];
-        let endless_words = vec![1u64];
-        assert!(CompressedCsrGraph::from_parts(1, 0, false, endless, endless_words).is_err());
+    }
+
+    /// Path 0–1 encodes as `[0x00, 0x02]` (one 1-byte value, zigzag(+1))
+    /// then `[0x00, 0x01]` (zigzag(-1)).
+    fn path2() -> CompressedCsrGraph {
+        let graph = CompressedCsrGraph::from_csr(&path_graph(2));
+        assert_eq!(graph.payload(), &[0x00, 0x02, 0x00, 0x01]);
+        graph
+    }
+
+    #[test]
+    fn nonzero_unused_control_slots_are_rejected() {
+        let graph = path2();
+        let err = reload(&graph, vec![0b0100, 0x02, 0x00, 0x01]).unwrap_err();
+        assert!(
+            err.contains("vertex 0") && err.contains("unused control slot"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn data_runs_past_the_payload_end_are_rejected() {
+        let graph = path2();
+        let err = reload(&graph, vec![0x00, 0x02, 0b11, 0x01]).unwrap_err();
+        assert!(
+            err.contains("vertex 1") && err.contains("past the payload end"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn trailing_payload_bytes_are_rejected() {
+        let graph = path2();
+        let err = reload(&graph, vec![0x00, 0x02, 0x00, 0x01, 0x00]).unwrap_err();
+        assert!(err.contains("1 trailing bytes"), "{err}");
+    }
+
+    #[test]
+    fn non_minimal_lengths_are_rejected() {
+        let graph = path2();
+        let err = reload(&graph, vec![0b01, 0x02, 0x00, 0x00, 0x01]).unwrap_err();
+        assert!(err.contains("vertex 0") && err.contains("minimal"), "{err}");
     }
 
     #[test]
     fn empty_graph_compresses_to_nothing() {
         let compressed = CompressedCsrGraph::from_csr(&CsrGraph::empty(0));
         assert_eq!(compressed.payload(), &[] as &[u8]);
-        assert_eq!(compressed.index_words().len(), 0);
+        assert_eq!(compressed.degrees().len(), 0);
         assert_eq!(AdjacencySource::degree_prefix(&compressed).as_ref(), &[0]);
     }
 }

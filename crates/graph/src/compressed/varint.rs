@@ -1,216 +1,249 @@
-//! Byte-aligned varint codec with a branch-avoiding decoder.
+//! Split control/data group-varint codec (Stream VByte's layout).
 //!
-//! The encoder is the standard LEB128 layout: seven payload bits per byte,
-//! the high bit of each byte set when another byte follows. What differs
-//! from a textbook decoder is the decode path: instead of the per-byte
-//! `if byte & 0x80` continuation test — a data-dependent branch whose
-//! outcome changes with every encoded length, exactly the misprediction
-//! pattern *Branch-Avoiding Graph Algorithms* (SPAA 2015) eliminates from
-//! its kernels — [`decode_varint`] loads a full 8-byte little-endian
-//! window and resolves the length with continuation-bit arithmetic:
+//! A block of `k` `u32` values is stored as two runs:
 //!
-//! 1. `!window & 0x8080…80` has its lowest set bit at the first byte whose
-//!    continuation bit is clear, so `trailing_zeros >> 3` *is* the number
-//!    of continuation bytes — no loop, no branch.
-//! 2. The window is masked down to the encoded bytes and the seven-bit
-//!    groups are collapsed with three masked shift-or steps (a fixed
-//!    log₂(8)-deep reduction), again without inspecting any byte
-//!    individually.
+//! ```text
+//! block = ctrl[⌈k/4⌉]  data[..]
+//! ctrl byte j: bits 2i..2i+2 = len(value 4j + i) - 1   (lengths 1–4)
+//! data: each value's low `len` bytes, little-endian, back to back
+//! ```
 //!
-//! The window trick requires 8 readable bytes at every decode position;
-//! [`PADDING_BYTES`] zero bytes appended to a stream guarantee that (a
-//! zero byte has a clear continuation bit, so a decode started inside the
-//! padding terminates immediately).
+//! This is the control-byte layout of Lemire, Kurz & Rupp, "Stream
+//! VByte: Faster Byte-Oriented Integer Compression" (IPL 2018). A LEB128
+//! varint's length comes from its own bytes, so each decode waits on the
+//! previous one: load → find the stop bit → advance. Here a value's
+//! length comes from a control byte whose address depends only on the
+//! value's index, so [`decode_value`] is a control-byte load, one
+//! unaligned 4-byte data load masked to the length, and an add — no
+//! data-dependent branch, and the only serial dependency between values
+//! is the data position's `+ len`.
 //!
-//! Every value the graph encoder produces fits in [`MAX_VARINT_BYTES`]
-//! bytes: deltas are zig-zagged 33-bit quantities at most (the signed
-//! difference of two `u32` vertex ids), and degrees are bounded by the
-//! `usize` edge count, which the on-disk format caps well below 2³⁵.
+//! Encodings are canonical: every value uses its minimal length, and
+//! the unused slots of a block's last control byte are zero. Loading
+//! ([`CompressedCsrGraph::from_parts`]) enforces both, so one value
+//! sequence has exactly one byte encoding.
+//!
+//! A decoder loads 4 bytes at each data position, and the graph cursors
+//! decode one step past a block's last value. [`PADDING_BYTES`] zero
+//! bytes appended to a stream keep every such load in bounds.
+//!
+//! [`CompressedCsrGraph::from_parts`]: super::CompressedCsrGraph::from_parts
 
-/// Maximum encoded length this codec accepts: 5 bytes carry 35 payload
-/// bits, enough for any zig-zagged `u32` delta (33 bits) with headroom.
-pub const MAX_VARINT_BYTES: usize = 5;
-
-/// Zero bytes a stream must append past its last encoded byte so the
-/// windowed decoder can always load 8 bytes.
+/// Zero bytes a stream must carry past its last block: a cursor's eager
+/// lookahead decodes up to two values (a weighted edge's gap and weight)
+/// starting at the block end, each with a 4-byte load.
 pub const PADDING_BYTES: usize = 8;
 
-/// Largest value [`encode_varint`] accepts (35 payload bits).
-pub const MAX_VARINT_VALUE: u64 = (1 << (7 * MAX_VARINT_BYTES as u32)) - 1;
+/// `MASKS[code]` keeps the `code + 1` low bytes of a 4-byte load.
+const MASKS: [u32; 4] = [0xff, 0xffff, 0x00ff_ffff, 0xffff_ffff];
 
-/// All continuation bits of an 8-byte window.
-const CONTINUATION_MASK: u64 = 0x8080_8080_8080_8080;
-
-/// All payload bits of an 8-byte window.
-const PAYLOAD_MASK: u64 = 0x7f7f_7f7f_7f7f_7f7f;
-
-/// Appends the LEB128 encoding of `value` to `out`.
-///
-/// # Panics
-///
-/// Panics when `value` exceeds [`MAX_VARINT_VALUE`] — the graph encoders
-/// never produce such a value, and rejecting it here keeps the decoder's
-/// fixed-window length arithmetic total.
-pub fn encode_varint(mut value: u64, out: &mut Vec<u8>) {
-    assert!(
-        value <= MAX_VARINT_VALUE,
-        "varint value {value} exceeds the {MAX_VARINT_BYTES}-byte cap"
-    );
-    loop {
-        let byte = (value & 0x7f) as u8;
-        value >>= 7;
-        if value == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-/// Decodes one varint from `bytes` starting at `pos`, returning the value
-/// and the number of bytes consumed. Branch-avoiding: the length comes
-/// from continuation-bit arithmetic over an 8-byte window and the payload
-/// from masked shifts; no byte is tested individually.
-///
-/// The caller must guarantee `pos + 8 <= bytes.len()` (streams carry
-/// [`PADDING_BYTES`] trailing zeros for exactly this reason) and that the
-/// stream was produced by [`encode_varint`] (at most [`MAX_VARINT_BYTES`]
-/// continuation bytes). Malformed streams are rejected once at
-/// construction/load time, not per decode.
+/// Bytes the minimal encoding of `value` takes (1–4).
 #[inline(always)]
-pub fn decode_varint(bytes: &[u8], pos: usize) -> (u64, usize) {
-    let window = u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap());
-    // Lowest clear continuation bit → encoded length, branch-free.
-    let stop = !window & CONTINUATION_MASK;
-    let len = (stop.trailing_zeros() >> 3) as usize + 1;
-    // Keep only the encoded bytes (len <= 8, and len is >= 1, so the
-    // shift amount stays in 0..64).
-    let masked = window & (u64::MAX >> (64 - 8 * len));
-    // Collapse the seven-bit groups: three masked shift-or steps gather
-    // 8×7 payload bits into the low 56 bits.
-    let mut v = masked & PAYLOAD_MASK;
-    v = (v & 0x7f00_7f00_7f00_7f00) >> 1 | (v & 0x007f_007f_007f_007f);
-    v = (v & 0x3fff_0000_3fff_0000) >> 2 | (v & 0x0000_3fff_0000_3fff);
-    v = (v & 0x0fff_ffff_0000_0000) >> 4 | (v & 0x0000_0000_0fff_ffff);
-    (v, len)
+pub fn encoded_len(value: u32) -> usize {
+    4 - (value.leading_zeros() as usize / 8).min(3)
 }
 
-/// Bounds- and length-checked decode for validation paths (construction
-/// and on-disk loading). Returns `None` when the varint runs past the end
-/// of `bytes` or exceeds [`MAX_VARINT_BYTES`]. Branchy and slow by design
-/// — the hot path uses [`decode_varint`] on streams this function has
-/// already vetted.
-pub(crate) fn decode_varint_checked(bytes: &[u8], pos: usize) -> Option<(u64, usize)> {
-    let mut value = 0u64;
-    for i in 0..MAX_VARINT_BYTES {
-        let byte = *bytes.get(pos + i)?;
-        value |= u64::from(byte & 0x7f) << (7 * i);
-        if byte & 0x80 == 0 {
-            return Some((value, i + 1));
-        }
+/// Control bytes a block of `count` values carries.
+#[inline(always)]
+pub fn control_bytes(count: usize) -> usize {
+    count.div_ceil(4)
+}
+
+/// Appends the block encoding of `values` to `out`: the control bytes,
+/// then every value's minimal little-endian bytes.
+pub fn encode_block(values: &[u32], out: &mut Vec<u8>) {
+    let ctrl = out.len();
+    out.reserve(control_bytes(values.len()) + 4 * values.len());
+    out.resize(ctrl + control_bytes(values.len()), 0);
+    for (i, &value) in values.iter().enumerate() {
+        let len = encoded_len(value);
+        out[ctrl + i / 4] |= ((len - 1) << (2 * (i % 4))) as u8;
+        // A fixed 4-byte copy, then drop the bytes past `len`.
+        out.extend_from_slice(&value.to_le_bytes());
+        out.truncate(out.len() - 4 + len);
     }
-    None
+}
+
+/// Decodes value `i` of the block whose control bytes start at `ctrl`,
+/// reading its data at `data`. Returns the value and its length in bytes,
+/// which the caller adds to `data` for value `i + 1`. No bounds checks
+/// and no data-dependent branch: one control-byte load, one unaligned
+/// 4-byte load, a mask.
+///
+/// # Safety
+///
+/// `ctrl + i / 4 < bytes.len()` and `data + 4 <= bytes.len()`. Streams
+/// carry [`PADDING_BYTES`] trailing zeros so that a decode at any block
+/// end, and one more after it, satisfies the second condition.
+#[inline(always)]
+pub unsafe fn decode_value(bytes: &[u8], ctrl: usize, i: usize, data: usize) -> (u32, usize) {
+    debug_assert!(ctrl + i / 4 < bytes.len() && data + 4 <= bytes.len());
+    // SAFETY: the caller guarantees both positions are in bounds.
+    let (control, word) = unsafe {
+        (
+            *bytes.get_unchecked(ctrl + i / 4),
+            std::ptr::read_unaligned(bytes.as_ptr().add(data).cast::<u32>()),
+        )
+    };
+    let code = usize::from((control >> (2 * (i % 4))) & 3);
+    (u32::from_le(word) & MASKS[code], code + 1)
+}
+
+/// Sum of the four 2-bit length codes in one control byte.
+fn code_sum(control: u8) -> usize {
+    usize::from((control & 3) + ((control >> 2) & 3) + ((control >> 4) & 3) + (control >> 6))
+}
+
+/// Bounds-checked decode of the block of `count` values at `start`, for
+/// validation paths (construction and on-disk loading). Pushes the values
+/// onto `out` and returns the block end. Rejects a control or data run
+/// past the end of `bytes`, a non-zero length code in an unused slot of
+/// the last control byte, and a value longer than its minimal encoding.
+pub(crate) fn decode_block_checked(
+    bytes: &[u8],
+    start: usize,
+    count: usize,
+    out: &mut Vec<u32>,
+) -> Result<usize, String> {
+    let data_start = start + control_bytes(count);
+    let Some(ctrl) = bytes.get(start..data_start) else {
+        return Err("control bytes run past the payload end".to_string());
+    };
+    if !count.is_multiple_of(4) && ctrl[ctrl.len() - 1] >> (2 * (count % 4)) != 0 {
+        return Err("non-zero length code in an unused control slot".to_string());
+    }
+    // Unused slots hold code 0, so the data run is `count` plus the codes.
+    let data_len = count + ctrl.iter().map(|&c| code_sum(c)).sum::<usize>();
+    let Some(data) = bytes.get(data_start..data_start + data_len) else {
+        return Err("data run past the payload end".to_string());
+    };
+    let mut pos = 0;
+    for i in 0..count {
+        let code = usize::from((ctrl[i / 4] >> (2 * (i % 4))) & 3);
+        let word = match data.get(pos..pos + 4) {
+            Some(window) => u32::from_le_bytes(window.try_into().expect("a 4-byte window")),
+            // The last values of the stream: fewer than 4 bytes remain.
+            None => data[pos..]
+                .iter()
+                .rev()
+                .fold(0, |w, &b| w << 8 | u32::from(b)),
+        };
+        let value = word & MASKS[code];
+        if encoded_len(value) != code + 1 {
+            return Err(format!(
+                "value {i}: {value} stored in {} bytes, not its minimal {}",
+                code + 1,
+                encoded_len(value)
+            ));
+        }
+        out.push(value);
+        pos += code + 1;
+    }
+    Ok(data_start + data_len)
 }
 
 /// Zig-zag encoding of a signed delta: interleaves negative and positive
 /// values so small-magnitude deltas of either sign encode short.
 #[inline(always)]
-pub fn zigzag_encode(value: i64) -> u64 {
-    ((value << 1) ^ (value >> 63)) as u64
+pub fn zigzag_encode(delta: i32) -> u32 {
+    ((delta << 1) ^ (delta >> 31)) as u32
 }
 
 /// Inverse of [`zigzag_encode`].
 #[inline(always)]
-pub fn zigzag_decode(value: u64) -> i64 {
-    ((value >> 1) as i64) ^ -((value & 1) as i64)
+pub fn zigzag_decode(code: u32) -> i32 {
+    ((code >> 1) as i32) ^ -((code & 1) as i32)
+}
+
+/// The code of a block's first neighbour: the zig-zagged difference from
+/// its source, wrapping mod 2³² so every `u32` pair fits in 4 bytes.
+#[inline(always)]
+pub fn encode_first(source: u32, first: u32) -> u32 {
+    zigzag_encode(first.wrapping_sub(source) as i32)
+}
+
+/// Inverse of [`encode_first`].
+#[inline(always)]
+pub fn decode_first(source: u32, code: u32) -> u32 {
+    source.wrapping_add(zigzag_decode(code) as u32)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn round_trip(value: u64) {
-        let mut buf = Vec::new();
-        encode_varint(value, &mut buf);
-        assert!(buf.len() <= MAX_VARINT_BYTES, "value {value}");
-        buf.extend_from_slice(&[0u8; PADDING_BYTES]);
-        let (decoded, len) = decode_varint(&buf, 0);
-        assert_eq!(decoded, value);
-        assert_eq!(len, buf.len() - PADDING_BYTES);
+    fn padded_block(values: &[u32]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        encode_block(values, &mut bytes);
+        bytes.extend_from_slice(&[0u8; PADDING_BYTES]);
+        bytes
     }
 
     #[test]
     fn varint_round_trips_across_every_length_boundary() {
-        for value in [
-            0u64,
+        let values = [
+            0u32,
             1,
-            0x7f,
-            0x80,
-            0x3fff,
-            0x4000,
-            0x1f_ffff,
-            0x20_0000,
-            0xfff_ffff,
-            0x1000_0000,
-            u32::MAX as u64,
-            (u32::MAX as u64) << 1, // largest zig-zagged u32 delta
-            (1 << 33) | 12345,
-            MAX_VARINT_VALUE,
-        ] {
-            round_trip(value);
+            0xff,
+            0x100,
+            0xffff,
+            0x1_0000,
+            0xff_ffff,
+            0x100_0000,
+            u32::MAX,
+        ];
+        let lens = [1, 1, 1, 2, 2, 3, 3, 4, 4];
+        for (&value, &len) in values.iter().zip(&lens) {
+            assert_eq!(encoded_len(value), len, "value {value:#x}");
+            let bytes = padded_block(&[value]);
+            assert_eq!(bytes.len(), 1 + len + PADDING_BYTES);
+            // SAFETY: the block is followed by PADDING_BYTES zeros.
+            assert_eq!(unsafe { decode_value(&bytes, 0, 0, 1) }, (value, len));
         }
     }
 
     #[test]
     fn consecutive_varints_decode_back_to_back() {
-        let values = [0u64, 300, 7, u32::MAX as u64, 1 << 21, 42];
-        let mut buf = Vec::new();
-        for &v in &values {
-            encode_varint(v, &mut buf);
-        }
-        buf.extend_from_slice(&[0u8; PADDING_BYTES]);
-        let mut pos = 0;
-        for &v in &values {
-            let (decoded, len) = decode_varint(&buf, pos);
+        let values = [0u32, 300, 7, u32::MAX, 1 << 21, 42, 0x1_0000, 5, 9];
+        let bytes = padded_block(&values);
+        let mut data = control_bytes(values.len());
+        for (i, &v) in values.iter().enumerate() {
+            // SAFETY: every block position is followed by PADDING_BYTES zeros.
+            let (decoded, len) = unsafe { decode_value(&bytes, 0, i, data) };
             assert_eq!(decoded, v);
-            pos += len;
+            data += len;
         }
-        assert_eq!(pos, buf.len() - PADDING_BYTES);
+        assert_eq!(data, bytes.len() - PADDING_BYTES);
+        let mut checked = Vec::new();
+        assert_eq!(
+            decode_block_checked(&bytes, 0, values.len(), &mut checked),
+            Ok(data)
+        );
+        assert_eq!(checked, values);
     }
 
     #[test]
     fn decoding_inside_padding_yields_zero() {
         let buf = vec![0u8; PADDING_BYTES];
-        assert_eq!(decode_varint(&buf, 0), (0, 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds")]
-    fn oversized_values_are_rejected_at_encode_time() {
-        encode_varint(MAX_VARINT_VALUE + 1, &mut Vec::new());
+        // SAFETY: both loads end inside the 8-byte buffer.
+        unsafe {
+            assert_eq!(decode_value(&buf, 0, 0, 0), (0, 1));
+            assert_eq!(decode_value(&buf, 0, 1, 1), (0, 1));
+        }
     }
 
     #[test]
     fn zigzag_round_trips_at_the_extremes() {
-        for delta in [
-            0i64,
-            1,
-            -1,
-            2,
-            -2,
-            i64::from(i32::MAX),
-            i64::from(i32::MIN),
-            u32::MAX as i64,    // first neighbour u32::MAX of source 0
-            -(u32::MAX as i64), // first neighbour 0 of source u32::MAX
-        ] {
-            let encoded = zigzag_encode(delta);
-            assert_eq!(zigzag_decode(encoded), delta, "delta {delta}");
-            // Every graph delta stays within the 5-byte cap.
-            assert!(encoded <= MAX_VARINT_VALUE);
+        for delta in [0i32, 1, -1, 2, -2, i32::MAX, i32::MIN] {
+            assert_eq!(zigzag_decode(zigzag_encode(delta)), delta, "delta {delta}");
+        }
+        for (source, first) in [(0, u32::MAX), (u32::MAX, 0), (7, 7), (1 << 31, 0)] {
+            assert_eq!(decode_first(source, encode_first(source, first)), first);
         }
         // Small magnitudes of either sign encode to small codes.
         assert_eq!(zigzag_encode(0), 0);
         assert_eq!(zigzag_encode(-1), 1);
         assert_eq!(zigzag_encode(1), 2);
+        assert_eq!(encode_first(0, u32::MAX), 1);
     }
 }

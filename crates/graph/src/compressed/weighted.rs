@@ -1,42 +1,35 @@
 //! Weighted companion of [`CompressedCsrGraph`]: interleaved
-//! `(delta, weight)` varint pairs per edge.
+//! `(delta, weight)` values per edge in the same group-varint blocks.
 //!
-//! The block layout extends the unweighted one — after the degree header,
-//! each edge contributes the neighbour delta varint (zig-zag for the
-//! first, raw gap after) immediately followed by its weight varint:
+//! Each vertex's block carries two values per edge — the neighbour delta
+//! (zig-zag for the first, raw gap after) immediately followed by its
+//! weight — under one control-byte run:
 //!
 //! ```text
-//! block(v) = varint(degree)
-//!            [varint(delta_0) varint(w_0)] [varint(gap_1) varint(w_1)] …
+//! values(v) = delta_0 w_0  gap_1 w_1  …  gap_{d-1} w_{d-1}
+//! block(v)  = ctrl[⌈2d/4⌉]  data[..]
 //! ```
 //!
-//! Interleaving keeps one sequential stream per vertex, so the cursor's
-//! eager-lookahead decode touches exactly the bytes a weighted relaxation
+//! A gap and its weight always share a control byte, so the cursor's
+//! eager lookahead decodes exactly the pair a weighted relaxation
 //! consumes. The maximum edge weight is computed once at construction
 //! because the bucket-synchronous engine sizes its bucket range from it.
 //!
 //! [`CompressedCsrGraph`]: super::CompressedCsrGraph
 
-use super::rank::RankSelectBitmap;
-use super::varint::{decode_varint, encode_varint, zigzag_decode, zigzag_encode, PADDING_BYTES};
+use super::varint::{control_bytes, decode_first, decode_value, encode_first};
+use super::Blocks;
 use crate::adjacency::{csr_layout_bytes, GraphFootprint, WeightedAdjacencySource};
 use crate::csr::VertexId;
 use crate::weighted::{EdgeWeight, WeightedCsrGraph};
 
-/// Padding for the weighted stream: the cursor's eager lookahead decodes
-/// two varints (gap then weight) past the last edge, so the second decode
-/// window can start up to one varint beyond the payload end.
-const WEIGHTED_PADDING: usize = 2 * PADDING_BYTES;
-
-/// A weighted graph with delta-varint compressed adjacency, weights
+/// A weighted graph with group-varint compressed adjacency, weights
 /// interleaved with the neighbour deltas. Built in memory from a
-/// [`WeightedCsrGraph`]; the `bga-csr-v1` on-disk format covers only the
+/// [`WeightedCsrGraph`]; the `bga-csr-v2` on-disk format covers only the
 /// unweighted representation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompressedWeightedGraph {
-    payload: Vec<u8>,
-    payload_len: usize,
-    index: RankSelectBitmap,
+    blocks: Blocks,
     num_vertices: usize,
     num_edge_slots: usize,
     max_weight: Option<EdgeWeight>,
@@ -46,30 +39,20 @@ impl CompressedWeightedGraph {
     /// Compresses a [`WeightedCsrGraph`], preserving neighbour order and
     /// per-edge weights exactly.
     pub fn from_weighted(graph: &WeightedCsrGraph) -> Self {
-        let n = graph.num_vertices();
-        let mut payload = Vec::new();
-        let mut starts = Vec::with_capacity(n);
-        for v in graph.csr().vertices() {
-            starts.push(payload.len());
-            encode_varint(graph.csr().degree(v) as u64, &mut payload);
-            let mut prev: Option<VertexId> = None;
+        let blocks = Blocks::encode(graph.num_vertices(), 2, |v, values| {
+            let mut prev = None;
             for (w, weight) in graph.neighbors_weighted(v) {
-                match prev {
-                    None => encode_varint(zigzag_encode(i64::from(w) - i64::from(v)), &mut payload),
-                    Some(p) => encode_varint(u64::from(w - p), &mut payload),
-                }
-                encode_varint(u64::from(weight), &mut payload);
+                values.push(match prev {
+                    None => encode_first(v, w),
+                    Some(p) => w - p,
+                });
+                values.push(weight);
                 prev = Some(w);
             }
-        }
-        let payload_len = payload.len();
-        payload.extend_from_slice(&[0u8; WEIGHTED_PADDING]);
-        let index = RankSelectBitmap::from_set_positions(payload_len, &starts);
+        });
         CompressedWeightedGraph {
-            payload,
-            payload_len,
-            index,
-            num_vertices: n,
+            blocks,
+            num_vertices: graph.num_vertices(),
             num_edge_slots: graph.csr().num_edge_slots(),
             max_weight: graph.max_weight(),
         }
@@ -77,8 +60,6 @@ impl CompressedWeightedGraph {
 
     /// Decompresses back to the parallel-array layout.
     pub fn to_weighted(&self) -> WeightedCsrGraph {
-        let mut offsets = Vec::with_capacity(self.num_vertices + 1);
-        offsets.push(0usize);
         let mut adjacency = Vec::with_capacity(self.num_edge_slots);
         let mut weights = Vec::with_capacity(self.num_edge_slots);
         for v in 0..self.num_vertices {
@@ -86,10 +67,10 @@ impl CompressedWeightedGraph {
                 adjacency.push(w);
                 weights.push(weight);
             }
-            offsets.push(adjacency.len());
         }
-        let csr = crate::csr::CsrGraph::from_raw_parts(offsets, adjacency, true)
-            .expect("a compressed weighted graph always decompresses to a valid CSR");
+        let csr =
+            crate::csr::CsrGraph::from_raw_parts(self.blocks.degree_prefix(), adjacency, true)
+                .expect("a compressed weighted graph always decompresses to a valid CSR");
         WeightedCsrGraph::from_parts(csr, weights).expect("decompressed weights always validate")
     }
 
@@ -104,9 +85,9 @@ impl CompressedWeightedGraph {
     }
 
     /// Out-degree of `v`.
+    #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
-        let pos = self.index.select1(v as usize);
-        decode_varint(&self.payload, pos).0 as usize
+        self.blocks.degrees[v as usize] as usize
     }
 
     /// The largest edge weight, or `None` for an edgeless graph.
@@ -115,6 +96,7 @@ impl CompressedWeightedGraph {
     }
 
     /// Branch-avoiding cursor over the `(neighbour, weight)` pairs of `v`.
+    #[inline]
     pub fn weighted_neighbor_cursor(&self, v: VertexId) -> WeightedNeighborCursor<'_> {
         WeightedNeighborCursor::new(self, v)
     }
@@ -152,8 +134,8 @@ impl WeightedAdjacencySource for CompressedWeightedGraph {
         let weight_bytes = (self.num_edge_slots * std::mem::size_of::<EdgeWeight>()) as u64;
         GraphFootprint {
             representation: "compressed",
-            adjacency_bytes: self.payload.len() as u64,
-            index_bytes: self.index.heap_bytes() as u64,
+            adjacency_bytes: self.blocks.bytes.len() as u64,
+            index_bytes: self.blocks.index_bytes(),
             csr_bytes: csr_layout_bytes(self.num_vertices, self.num_edge_slots) + weight_bytes,
         }
     }
@@ -165,33 +147,35 @@ impl WeightedAdjacencySource for CompressedWeightedGraph {
 #[derive(Clone, Debug)]
 pub struct WeightedNeighborCursor<'a> {
     bytes: &'a [u8],
-    pos: usize,
+    ctrl: usize,
+    data: usize,
+    /// Index of the next gap within the block (always even).
+    slot: usize,
     remaining: usize,
     next_val: VertexId,
     next_weight: EdgeWeight,
 }
 
 impl<'a> WeightedNeighborCursor<'a> {
+    #[inline]
     fn new(graph: &'a CompressedWeightedGraph, v: VertexId) -> Self {
-        let mut pos = graph.index.select1(v as usize);
-        let (degree, len) = decode_varint(&graph.payload, pos);
-        pos += len;
-        let mut next_val = 0;
-        let mut next_weight = 0;
-        if degree > 0 {
-            let (code, len) = decode_varint(&graph.payload, pos);
-            pos += len;
-            next_val = (i64::from(v) + zigzag_decode(code)) as VertexId;
-            let (weight, len) = decode_varint(&graph.payload, pos);
-            pos += len;
-            next_weight = weight as EdgeWeight;
-        }
+        let bytes = &graph.blocks.bytes;
+        let (ctrl, degree) = graph.blocks.locate(v);
+        let data = ctrl + control_bytes(2 * degree);
+        // SAFETY: by the `Blocks` invariant, `ctrl` and `data` lie at or
+        // before the payload end (for an empty block both are its start),
+        // so both control bytes are in bounds and the two loads end within
+        // the PADDING_BYTES = 8 zeros after it.
+        let (code, len) = unsafe { decode_value(bytes, ctrl, 0, data) };
+        let (weight, weight_len) = unsafe { decode_value(bytes, ctrl, 1, data + len) };
         WeightedNeighborCursor {
-            bytes: &graph.payload,
-            pos,
-            remaining: degree as usize,
-            next_val,
-            next_weight,
+            bytes,
+            ctrl,
+            data: data + len + weight_len,
+            slot: 2,
+            remaining: degree,
+            next_val: decode_first(v, code),
+            next_weight: weight,
         }
     }
 }
@@ -207,13 +191,20 @@ impl Iterator for WeightedNeighborCursor<'_> {
         self.remaining -= 1;
         let current = (self.next_val, self.next_weight);
         // Eager lookahead over the (gap, weight) pair; past the last edge
-        // this reads the next block header or padding, never yielded.
-        let (gap, len) = decode_varint(self.bytes, self.pos);
-        self.pos += len;
-        self.next_val = self.next_val.wrapping_add(gap as VertexId);
-        let (weight, len) = decode_varint(self.bytes, self.pos);
-        self.pos += len;
-        self.next_weight = weight as EdgeWeight;
+        // this reads the next block or the padding, never yielded.
+        // SAFETY: `slot <= 2 * degree`. Below it the pair lies inside the
+        // block. At it the shared control byte is at most the block's first
+        // data byte and the two loads start at the block end and at most 4
+        // bytes later, ending within the PADDING_BYTES = 8 zeros after the
+        // payload (the `Blocks` invariant).
+        let (gap, len) = unsafe { decode_value(self.bytes, self.ctrl, self.slot, self.data) };
+        self.data += len;
+        let (weight, len) =
+            unsafe { decode_value(self.bytes, self.ctrl, self.slot + 1, self.data) };
+        self.data += len;
+        self.slot += 2;
+        self.next_val = self.next_val.wrapping_add(gap);
+        self.next_weight = weight;
         Some(current)
     }
 

@@ -8,7 +8,7 @@
 //!   Challenge graphs the paper uses (Table 2), so the real `audikw1`,
 //!   `auto`, `coAuthorsDBLP`, `cond-mat-2005` and `ldoor` files can be
 //!   dropped in directly when available.
-//! * **`bga-csr-v1` binary** — the delta-varint compressed representation
+//! * **`bga-csr-v2` binary** — the group-varint compressed representation
 //!   serialized with an mmap-ready layout (see [`read_compressed_binary_file`]).
 
 mod binary;

@@ -18,9 +18,10 @@
 //!   [`uniform_weights`]/[`unit_weights`] lifts that turn any generator
 //!   output into a weighted graph.
 //! * [`compressed`] — [`CompressedCsrGraph`] and
-//!   [`CompressedWeightedGraph`]: delta-varint adjacency with a
-//!   branch-avoiding decoder and a rank/select offsets bitmap, several
-//!   times smaller than the `Vec` layout on the bench suite.
+//!   [`CompressedWeightedGraph`]: group-varint adjacency (one control
+//!   byte of 2-bit lengths per four values) with a branch-avoiding
+//!   decoder and a per-vertex start/degree index, about half the size of
+//!   the `Vec` layout on the bench suite.
 //! * [`adjacency`] — the [`AdjacencySource`]/[`WeightedAdjacencySource`]
 //!   seam both representations implement, so the parallel kernels run on
 //!   either one through the same generic entry points.

@@ -45,7 +45,7 @@
 //! Every loop, context and kernel trait is generic over the graph
 //! representation — [`AdjacencySource`] for the level and sweep drivers,
 //! [`WeightedAdjacencySource`] for the bucket driver — so the same engine
-//! runs unchanged on the `Vec` CSR and on the delta-varint compressed
+//! runs unchanged on the `Vec` CSR and on the group-varint compressed
 //! form, and produces bit-identical results on both.
 
 use crate::auto::SwitchNotice;
@@ -196,7 +196,7 @@ pub struct LevelCtx<'a, G: AdjacencySource> {
 /// trait is generic over the graph representation: kernels iterate
 /// neighbours through [`AdjacencySource::neighbor_cursor`], so one
 /// `impl<G: AdjacencySource> LevelKernel<G>` covers both the `Vec` CSR
-/// and the compressed delta-varint form.
+/// and the compressed group-varint form.
 pub trait LevelKernel<G: AdjacencySource>: Sync {
     /// Whether [`LevelLoop::run`] should merge the per-chunk
     /// [`ThreadTally`]s into per-level step counters. Kernels that do not

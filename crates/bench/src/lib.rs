@@ -2,8 +2,9 @@
 //!
 //! Experiment harness for the *Branch-Avoiding Graph Algorithms*
 //! reproduction. The binaries in `src/bin/` regenerate every table and
-//! figure of the paper's evaluation (see DESIGN.md for the per-experiment
-//! index); this library holds the plumbing they share: suite construction,
+//! figure of the paper's evaluation, one binary per experiment, named after
+//! it (`fig3_sv_time`, `table2_graphs`, ...), with the figure it
+//! regenerates in its module doc; this library holds the plumbing they share: suite construction,
 //! paired instrumented runs, and CSV/table printing.
 //!
 //! All binaries accept the `BGA_SUITE_SCALE` environment variable

@@ -10,11 +10,13 @@
 //! counters; here the same quantities (instructions, branches,
 //! mispredictions, loads, stores) are counted exactly in software while a
 //! pluggable [`predictor::PredictorModel`] decides which branches would have
-//! been mispredicted. See DESIGN.md ("Substitutions") for why this preserves
-//! the paper's claims.
+//! been mispredicted. This preserves the paper's claims because they are
+//! claims about those event counts and their ratios per iteration (Figs
+//! 4–5, 7–8, the Section 3 bounds); only the cycle cost of an event is
+//! platform-specific, and [`machine_model`] models it separately.
 //!
 //! ```
-//! use bga_branchsim::machine::ExecMachine;
+//! use bga_branchsim::machine::{ExecMachine, Machine};
 //! use bga_branchsim::site::BranchSite;
 //!
 //! const LOOP: BranchSite = BranchSite::new(0, "example.loop");
@@ -49,7 +51,7 @@ pub mod site;
 pub mod trace;
 
 pub use counters::{NormalizedCounters, PerfCounters};
-pub use machine::ExecMachine;
+pub use machine::{ExecMachine, Machine, Uncounted};
 pub use machine_model::{all_machine_models, MachineModel};
 pub use predictor::{Outcome, PredictorModel, TwoBitPredictor, TwoBitState};
 pub use site::BranchSite;

@@ -1,24 +1,107 @@
-//! The instrumented execution machine.
+//! The execution machine the kernels are written against.
 //!
 //! The paper measures its hand-written assembly kernels with hardware
 //! performance counters. This reproduction substitutes a software
-//! *instrumentation machine*: kernels are written against [`ExecMachine`],
-//! calling [`ExecMachine::load`], [`ExecMachine::store`],
-//! [`ExecMachine::branch`], [`ExecMachine::cond_move`] and
-//! [`ExecMachine::alu`] at the points where the assembly version would issue
-//! the corresponding instruction. The machine counts every event exactly and
-//! drives a pluggable [`PredictorModel`] to attribute mispredictions, so the
+//! *instrumentation machine*: each kernel is written once against the
+//! [`Machine`] trait, calling [`Machine::load`], [`Machine::store`],
+//! [`Machine::branch`], [`Machine::cond_move`] and [`Machine::alu`] at the
+//! points where the assembly version would issue the corresponding
+//! instruction. Run on [`ExecMachine`], every event is counted exactly and a
+//! pluggable [`PredictorModel`] attributes mispredictions, so the
 //! per-iteration counter series of Figures 4, 5, 7 and 8 can be regenerated
-//! deterministically.
+//! deterministically. Run on [`Uncounted`], every operation is the bare
+//! operation, so the same source is the timed kernel.
 
 use crate::counters::PerfCounters;
 use crate::predictor::{Outcome, PredictorModel, TwoBitPredictor};
 use crate::site::BranchSite;
 
+/// The operations a kernel issues, as the paper's assembly would issue them.
+pub trait Machine {
+    /// True when the machine counts; kernels keep their per-step
+    /// bookkeeping under `if M::COUNTS` so it compiles out otherwise.
+    const COUNTS: bool;
+
+    /// A memory load, passed through so kernel code reads naturally:
+    /// `let cu = machine.load(ccid[u as usize]);`
+    fn load<T>(&mut self, value: T) -> T;
+
+    /// A memory store: `*slot = value`.
+    fn store<T>(&mut self, slot: &mut T, value: T);
+
+    /// `n` generic ALU / bookkeeping instructions (index arithmetic,
+    /// compares feeding conditional moves, register moves).
+    fn alu(&mut self, n: u64);
+
+    /// A conditional branch at `site` with actual direction `condition`,
+    /// returned so it can drive Rust control flow:
+    /// `if machine.branch(SV_IF, cu < cv) { .. }`.
+    fn branch(&mut self, site: BranchSite, condition: bool) -> bool;
+
+    /// Conditional move, the `CMOVcc` the branch-avoiding kernels rely on:
+    /// `*dst = src` iff `condition`, with no branch.
+    fn cond_move(&mut self, condition: bool, dst: &mut u32, src: u32);
+
+    /// Conditional add, the paper's `COND_ADD` that advances the BFS queue
+    /// length: `*dst += delta` iff `condition`, with no branch.
+    fn cond_add(&mut self, condition: bool, dst: &mut u64, delta: u64);
+
+    /// Counter values since construction (all zero when uncounted).
+    fn counters(&self) -> PerfCounters;
+}
+
+/// The machine that counts nothing: a zero-sized type whose operations are
+/// the bare operations, so a kernel run on it is the plain timed kernel.
+/// Conditional moves and adds are mask selects, never a jump.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Uncounted;
+
+impl Machine for Uncounted {
+    const COUNTS: bool = false;
+
+    #[inline(always)]
+    fn load<T>(&mut self, value: T) -> T {
+        value
+    }
+
+    #[inline(always)]
+    fn store<T>(&mut self, slot: &mut T, value: T) {
+        *slot = value;
+    }
+
+    #[inline(always)]
+    fn alu(&mut self, _n: u64) {}
+
+    #[inline(always)]
+    fn branch(&mut self, _site: BranchSite, condition: bool) -> bool {
+        condition
+    }
+
+    #[inline(always)]
+    fn cond_move(&mut self, condition: bool, dst: &mut u32, src: u32) {
+        // (condition as u32) is 0 or 1; wrapping_neg turns it into an
+        // all-zeros or all-ones mask, so the select is pure data flow.
+        let mask = (condition as u32).wrapping_neg();
+        *dst = (src & mask) | (*dst & !mask);
+    }
+
+    #[inline(always)]
+    fn cond_add(&mut self, condition: bool, dst: &mut u64, delta: u64) {
+        *dst += delta & (condition as u64).wrapping_neg();
+    }
+
+    #[inline(always)]
+    fn counters(&self) -> PerfCounters {
+        PerfCounters::zero()
+    }
+}
+
 /// Instrumented machine: a counter block plus a branch-predictor model.
 ///
 /// The generic parameter defaults to the paper's 2-bit predictor; the
 /// predictor ablation instantiates the same kernels with other models.
+/// Keep it a local of the function that runs the kernel loop: the
+/// predictor's per-site states then live in registers.
 #[derive(Clone, Debug)]
 pub struct ExecMachine<P: PredictorModel = TwoBitPredictor> {
     counters: PerfCounters,
@@ -47,94 +130,74 @@ impl<P: PredictorModel> ExecMachine<P> {
         }
     }
 
-    /// Current counter values (cumulative since construction / last reset).
-    #[inline]
-    pub fn counters(&self) -> PerfCounters {
-        self.counters
-    }
-
-    /// Snapshot for later use with [`PerfCounters::delta_since`].
-    #[inline]
-    pub fn snapshot(&self) -> PerfCounters {
-        self.counters
-    }
-
-    /// Access to the predictor (e.g. to inspect per-site state in tests).
-    pub fn predictor(&self) -> &P {
-        &self.predictor
-    }
-
     /// Resets counters and predictor state.
     pub fn reset(&mut self) {
         self.counters = PerfCounters::zero();
         self.predictor.reset();
     }
+}
 
-    /// Counts a memory load and passes the loaded value through.
-    ///
-    /// Written as a pass-through so kernel code reads naturally:
-    /// `let cu = machine.load(ccid[u as usize]);`
+impl<P: PredictorModel> Machine for ExecMachine<P> {
+    const COUNTS: bool = true;
+
     #[inline]
-    pub fn load<T>(&mut self, value: T) -> T {
+    fn load<T>(&mut self, value: T) -> T {
         self.counters.loads += 1;
         self.counters.instructions += 1;
         value
     }
 
-    /// Counts a memory store and performs it.
     #[inline]
-    pub fn store<T>(&mut self, slot: &mut T, value: T) {
+    fn store<T>(&mut self, slot: &mut T, value: T) {
         self.counters.stores += 1;
         self.counters.instructions += 1;
         *slot = value;
     }
 
-    /// Counts `n` generic ALU / bookkeeping instructions (index arithmetic,
-    /// compares feeding conditional moves, register moves).
     #[inline]
-    pub fn alu(&mut self, n: u64) {
+    fn alu(&mut self, n: u64) {
         self.counters.instructions += n;
     }
 
-    /// Executes a conditional branch at `site` with actual direction
-    /// `condition`, updating branch and misprediction counters, and returns
-    /// the condition so it can be used directly in Rust control flow:
-    ///
-    /// ```ignore
-    /// if machine.branch(SV_IF, cu <= cv) {
-    ///     // taken path
-    /// }
-    /// ```
     #[inline]
-    pub fn branch(&mut self, site: BranchSite, condition: bool) -> bool {
+    fn branch(&mut self, site: BranchSite, condition: bool) -> bool {
         self.counters.branches += 1;
         self.counters.instructions += 1;
-        let correct = self.predictor.record(site, Outcome::from_bool(condition));
+        // Split on the condition before recording, so each path hands the
+        // predictor a constant outcome. Recording `Outcome::from_bool`
+        // instead lets LLVM thread the predictor's state switch through the
+        // kernel loop into jump tables, which made the branch-based SV sweep
+        // 1.5x slower to simulate.
+        let correct = if condition {
+            self.predictor.record(site, Outcome::Taken)
+        } else {
+            self.predictor.record(site, Outcome::NotTaken)
+        };
         if !correct {
             self.counters.branch_mispredictions += 1;
         }
         condition
     }
 
-    /// Conditional move: `*dst = src` iff `condition`, counted as a single
-    /// predicated instruction with **no** branch and no misprediction. This
-    /// is the `CMOVcc` the paper's branch-avoiding kernels rely on.
+    /// Counted as a single predicated instruction with **no** branch and no
+    /// misprediction.
     #[inline]
-    pub fn cond_move<T: Copy>(&mut self, condition: bool, dst: &mut T, src: T) {
+    fn cond_move(&mut self, condition: bool, dst: &mut u32, src: u32) {
         self.counters.conditional_moves += 1;
         self.counters.instructions += 1;
-        // Branch-free select at the Rust level as well, mirroring the
-        // generated cmov: both values are computed, the predicate picks one.
         *dst = if condition { src } else { *dst };
     }
 
-    /// Conditional add: `*dst += delta` iff `condition` (the paper's
-    /// `COND_ADD` used to advance the BFS queue length).
     #[inline]
-    pub fn cond_add(&mut self, condition: bool, dst: &mut u64, delta: u64) {
+    fn cond_add(&mut self, condition: bool, dst: &mut u64, delta: u64) {
         self.counters.conditional_moves += 1;
         self.counters.instructions += 1;
         *dst += if condition { delta } else { 0 };
+    }
+
+    #[inline]
+    fn counters(&self) -> PerfCounters {
+        self.counters
     }
 }
 
@@ -208,10 +271,30 @@ mod tests {
     }
 
     #[test]
+    fn uncounted_performs_the_bare_operations() {
+        let mut m = Uncounted;
+        let mut x = 0u32;
+        let v = m.load(41u32);
+        m.store(&mut x, v + 1);
+        assert_eq!(x, 42);
+        assert!(m.branch(LOOP, true) && !m.branch(LOOP, false));
+        for (cond, expected) in [(false, 42u32), (true, 7)] {
+            let mut y = 42u32;
+            m.cond_move(cond, &mut y, 7);
+            assert_eq!(y, expected);
+        }
+        let mut len = u64::MAX - 1;
+        m.cond_add(false, &mut len, 1);
+        m.cond_add(true, &mut len, 1);
+        assert_eq!(len, u64::MAX);
+        assert_eq!(m.counters(), PerfCounters::zero());
+    }
+
+    #[test]
     fn snapshot_delta_isolates_an_iteration() {
         let mut m = ExecMachine::new();
         m.alu(5);
-        let snap = m.snapshot();
+        let snap = m.counters();
         m.alu(2);
         m.branch(LOOP, true);
         let delta = m.counters().delta_since(&snap);

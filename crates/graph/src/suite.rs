@@ -2,10 +2,11 @@
 //!
 //! The paper evaluates on five graphs from the 10th DIMACS Implementation
 //! Challenge. Those files are not redistributed here, so the suite provides
-//! **synthetic stand-ins from the same structural family** (see DESIGN.md,
-//! "Substitutions"): FEM/partitioning meshes for audikw1, ldoor and auto, a
-//! preferential-attachment graph for coAuthorsDBLP and a community-structured
-//! graph for cond-mat-2005. When the real METIS files are available they can
+//! **synthetic stand-ins from the same structural family**, since branch
+//! behaviour depends on diameter, degree distribution and community
+//! structure rather than on the exact files: FEM/partitioning meshes for
+//! audikw1, ldoor and auto, a preferential-attachment graph for
+//! coAuthorsDBLP and a community-structured graph for cond-mat-2005. When the real METIS files are available they can
 //! be loaded with [`crate::io::read_metis`] and substituted 1:1 in every
 //! experiment harness.
 //!

@@ -1,33 +1,19 @@
 //! Instrumented top-down BFS kernels.
 //!
-//! Measurement versions of Algorithms 4 and 5 on
-//! [`bga_branchsim::ExecMachine`], with counters snapshotted at every level
-//! boundary. The per-level series regenerate Figures 6, 7, 8, 9(b) and the
-//! BFS half of Figure 10.
-//!
-//! Branch sites (Section 5.1 identifies three static conditional branches in
-//! the branch-based kernel):
-//!
-//! | site | paper branch |
-//! |------|--------------|
-//! | `BFS_WHILE` | `while Q not empty` |
-//! | `BFS_FOR`   | `for all neighbours w of v` |
-//! | `BFS_IF`    | `if d[w] == INFINITY` (branch-based only) |
+//! Measurement versions of Algorithms 4 and 5: [`super::topdown`]'s
+//! expansion run on an [`ExecMachine`], with counters snapshotted at every
+//! level boundary. The per-level series regenerate Figures 6, 7, 8, 9(b)
+//! and the BFS half of Figure 10. The branch sites are listed in
+//! [`super::topdown`].
 
 use super::frontier::BfsResult;
-use super::INFINITY;
+use super::topdown::topdown;
 use crate::stats::{RunCounters, StepCounters};
 use bga_branchsim::machine::ExecMachine;
 use bga_branchsim::predictor::{PredictorModel, TwoBitPredictor};
-use bga_branchsim::site::BranchSite;
 use bga_graph::{CsrGraph, VertexId};
 
-/// The `while Q not empty` queue-drain condition.
-pub const BFS_WHILE: BranchSite = BranchSite::new(4, "bfs.while_queue");
-/// The `for all neighbours w of v` loop condition.
-pub const BFS_FOR: BranchSite = BranchSite::new(5, "bfs.for_neighbors");
-/// The data-dependent `if d[w] == INFINITY` visit test (branch-based only).
-pub const BFS_IF: BranchSite = BranchSite::new(6, "bfs.if_unvisited");
+pub use super::topdown::{BFS_FOR, BFS_IF, BFS_WHILE};
 
 /// Result of an instrumented BFS run.
 #[derive(Clone, Debug)]
@@ -57,84 +43,8 @@ pub fn bfs_branch_based_instrumented_with<P: PredictorModel>(
     root: VertexId,
     predictor: P,
 ) -> BfsRun {
-    let n = graph.num_vertices();
     let mut machine = ExecMachine::with_predictor(predictor);
-    let mut distances = vec![INFINITY; n];
-    let mut queue: Vec<VertexId> = Vec::with_capacity(n);
-    let mut steps: Vec<StepCounters> = Vec::new();
-
-    if (root as usize) < n {
-        machine.store(&mut distances[root as usize], 0);
-        queue.push(root);
-        machine.store(&mut queue[0], root); // queue slot write for the root
-        let mut head = 0usize;
-
-        let mut level_snapshot = machine.snapshot();
-        let mut current_level = 0u32;
-        let mut level_vertices = 0u64;
-        let mut level_edges = 0u64;
-        let mut level_found = 0u64;
-
-        // while Q not empty
-        while machine.branch(BFS_WHILE, head < queue.len()) {
-            let v = queue[head];
-            head += 1;
-            machine.alu(1); // dequeue pointer arithmetic
-
-            let dv = machine.load(distances[v as usize]);
-            if dv != current_level {
-                // Level boundary: flush the per-level counters.
-                steps.push(StepCounters {
-                    step: current_level as usize,
-                    counters: machine.counters().delta_since(&level_snapshot),
-                    edges_traversed: level_edges,
-                    vertices_processed: level_vertices,
-                    updates: level_found,
-                });
-                level_snapshot = machine.counters();
-                current_level = dv;
-                level_vertices = 0;
-                level_edges = 0;
-                level_found = 0;
-            }
-            level_vertices += 1;
-            let next = dv + 1;
-            machine.alu(1); // next_level = d[v] + 1
-
-            let neighbors = graph.neighbors(v);
-            let mut idx = 0usize;
-            // for all neighbours w of v
-            while machine.branch(BFS_FOR, idx < neighbors.len()) {
-                let w = neighbors[idx];
-                level_edges += 1;
-                let dw = machine.load(distances[w as usize]);
-                // if d[w] == INFINITY  (data-dependent branch)
-                if machine.branch(BFS_IF, dw == INFINITY) {
-                    machine.store(&mut distances[w as usize], next);
-                    queue.push(w);
-                    let tail = queue.len() - 1;
-                    machine.store(&mut queue[tail], w); // queue slot write
-                    machine.alu(1); // queue length increment
-                    level_found += 1;
-                }
-                idx += 1;
-                machine.alu(1);
-            }
-        }
-        // Flush the final level.
-        steps.push(StepCounters {
-            step: current_level as usize,
-            counters: machine.counters().delta_since(&level_snapshot),
-            edges_traversed: level_edges,
-            vertices_processed: level_vertices,
-            updates: level_found,
-        });
-    }
-
-    BfsRun {
-        result: BfsResult::new(distances, queue),
-        counters: RunCounters { steps },
-    }
+    counted(topdown::<_, false>(graph, root, &mut machine))
 }
 
 /// Instrumented branch-avoiding top-down BFS (paper Algorithm 5) under the
@@ -149,86 +59,13 @@ pub fn bfs_branch_avoiding_instrumented_with<P: PredictorModel>(
     root: VertexId,
     predictor: P,
 ) -> BfsRun {
-    let n = graph.num_vertices();
     let mut machine = ExecMachine::with_predictor(predictor);
-    let mut distances = vec![INFINITY; n];
-    let mut queue: Vec<VertexId> = vec![0; n + 1];
-    let mut steps: Vec<StepCounters> = Vec::new();
-    let mut queue_len = 0u64;
+    counted(topdown::<_, true>(graph, root, &mut machine))
+}
 
-    if (root as usize) < n {
-        machine.store(&mut distances[root as usize], 0);
-        machine.store(&mut queue[0], root); // queue slot write for the root
-        queue_len = 1;
-        machine.alu(1);
-        let mut head = 0usize;
-
-        let mut level_snapshot = machine.snapshot();
-        let mut current_level = 0u32;
-        let mut level_vertices = 0u64;
-        let mut level_edges = 0u64;
-        let mut level_found = 0u64;
-
-        while machine.branch(BFS_WHILE, (head as u64) < queue_len) {
-            let v = queue[head];
-            head += 1;
-            machine.alu(1);
-
-            let dv = machine.load(distances[v as usize]);
-            if dv != current_level {
-                steps.push(StepCounters {
-                    step: current_level as usize,
-                    counters: machine.counters().delta_since(&level_snapshot),
-                    edges_traversed: level_edges,
-                    vertices_processed: level_vertices,
-                    updates: level_found,
-                });
-                level_snapshot = machine.counters();
-                current_level = dv;
-                level_vertices = 0;
-                level_edges = 0;
-                level_found = 0;
-            }
-            level_vertices += 1;
-            let next_level = dv + 1;
-            machine.alu(1);
-
-            let neighbors = graph.neighbors(v);
-            let mut idx = 0usize;
-            while machine.branch(BFS_FOR, idx < neighbors.len()) {
-                let w = neighbors[idx];
-                level_edges += 1;
-                // LOAD(temp, d[w])
-                let old = machine.load(distances[w as usize]);
-                // CMP(temp, next_level)
-                let undiscovered = old > next_level;
-                machine.alu(1);
-                // Q[Qlen] <- w, unconditional store.
-                machine.store(&mut queue[queue_len as usize], w);
-                // COND_MOVE_GREATER(temp, next_level)
-                let mut temp = old;
-                machine.cond_move(undiscovered, &mut temp, next_level);
-                // COND_ADD(Qlen, 1)
-                machine.cond_add(undiscovered, &mut queue_len, 1);
-                // STORE(temp, d[w]), unconditional write-back.
-                machine.store(&mut distances[w as usize], temp);
-                level_found += undiscovered as u64;
-                idx += 1;
-                machine.alu(1);
-            }
-        }
-        steps.push(StepCounters {
-            step: current_level as usize,
-            counters: machine.counters().delta_since(&level_snapshot),
-            edges_traversed: level_edges,
-            vertices_processed: level_vertices,
-            updates: level_found,
-        });
-    }
-
-    let order = queue[..queue_len as usize].to_vec();
+fn counted((result, steps): (BfsResult, Vec<StepCounters>)) -> BfsRun {
     BfsRun {
-        result: BfsResult::new(distances, order),
+        result,
         counters: RunCounters { steps },
     }
 }

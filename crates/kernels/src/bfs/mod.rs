@@ -5,9 +5,12 @@
 //! Alg. 5), plus the bottom-up and direction-optimizing variants referenced
 //! as related work (\[8\] Beamer et al.) as extensions.
 //!
-//! * [`topdown_branch`] / [`topdown_branchless`] — plain Rust kernels for
-//!   wall-clock measurement.
-//! * [`instrumented`] — the same two algorithms on
+//! * [`topdown`] — the one top-down expansion, written once against
+//!   [`bga_branchsim::Machine`] and generic over the discipline. Every
+//!   top-down entry point below runs it.
+//! * [`topdown_branch`] / [`topdown_branchless`] — the plain timed kernels
+//!   (the expansion on the zero-cost [`bga_branchsim::Uncounted`] machine).
+//! * [`instrumented`] — the same expansion on
 //!   [`bga_branchsim::ExecMachine`], producing exact per-level counter
 //!   series (Figures 6-8, 9b, 10b).
 //! * [`bottom_up`] / [`direction_optimizing`] — extension kernels showing
@@ -18,6 +21,7 @@ pub mod bottom_up;
 pub mod direction_optimizing;
 pub mod frontier;
 pub mod instrumented;
+pub mod topdown;
 pub mod topdown_branch;
 pub mod topdown_branchless;
 

@@ -1,45 +1,22 @@
 //! Branch-based top-down BFS (paper Algorithm 4).
 //!
-//! The classic queue-based traversal: for every traversed edge `(v, w)` the
-//! kernel tests `if d[w] == INFINITY` and enqueues `w` on the first visit.
-//! That `if` is the data-dependent branch whose misprediction behaviour
-//! Section 5.1 bounds at up to `2 * |V̂|` misses.
+//! The plain timed kernel: [`super::topdown`]'s expansion with the
+//! per-edge `if d[w] == INFINITY` test, run on the uncounted machine.
 
 use super::frontier::BfsResult;
-use super::INFINITY;
+use super::topdown::plain_topdown;
 use bga_graph::{CsrGraph, VertexId};
 
 /// Runs branch-based top-down BFS from `root`. A root outside the vertex
 /// range yields an all-unreached result.
 pub fn bfs_branch_based(graph: &CsrGraph, root: VertexId) -> BfsResult {
-    let n = graph.num_vertices();
-    let mut distances = vec![INFINITY; n];
-    let mut queue: Vec<VertexId> = Vec::with_capacity(n);
-    if (root as usize) >= n {
-        return BfsResult::new(distances, queue);
-    }
-
-    distances[root as usize] = 0;
-    queue.push(root);
-    let mut head = 0usize;
-
-    while head < queue.len() {
-        let v = queue[head];
-        head += 1;
-        let next = distances[v as usize] + 1;
-        for &w in graph.neighbors(v) {
-            if distances[w as usize] == INFINITY {
-                distances[w as usize] = next;
-                queue.push(w);
-            }
-        }
-    }
-    BfsResult::new(distances, queue)
+    plain_topdown::<false>(graph, root)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bfs::INFINITY;
     use bga_graph::generators::{complete_graph, path_graph, star_graph};
     use bga_graph::properties::bfs_distances_reference;
     use bga_graph::GraphBuilder;

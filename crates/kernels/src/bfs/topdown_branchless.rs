@@ -1,73 +1,23 @@
 //! Branch-avoiding top-down BFS (paper Algorithm 5).
 //!
-//! The per-edge `if d[w] == INFINITY` is eliminated: for **every** traversed
-//! edge the kernel
-//!
-//! 1. writes `w` into the next free queue slot unconditionally,
-//! 2. conditionally moves the new distance into a register,
-//! 3. conditionally advances the queue length, and
-//! 4. writes the (possibly unchanged) distance back to `d[w]`
-//!    unconditionally.
-//!
-//! A vertex that was already visited is simply overwritten in the queue slot
-//! by the next candidate ("placed outside the queue" in the paper's words).
-//! The price is `O(|E|)` stores instead of `O(|V|)` — the reason the paper's
-//! Figure 6 shows slowdowns for this variant on most systems.
-//!
-//! One correction relative to the printed pseudocode: the predicate compares
-//! the old distance against `next_level = d[v] + 1` rather than against
-//! `d[v]`. With the printed comparison a vertex first discovered by an
-//! *earlier vertex of the same frontier* (so `d[w] == d[v] + 1 > d[v]`)
-//! would be enqueued a second time; comparing against `next_level` keeps the
-//! queue duplicate-free, which is what the store/branch counts in the
-//! paper's evaluation reflect.
+//! The plain timed kernel: [`super::topdown`]'s expansion with the per-edge
+//! test replaced by unconditional queue and distance stores plus a
+//! conditional move and a conditional add, run on the uncounted machine.
 
 use super::frontier::BfsResult;
-use super::INFINITY;
-use crate::select::{conditional_increment, select_u32};
+use super::topdown::plain_topdown;
 use bga_graph::{CsrGraph, VertexId};
 
 /// Runs branch-avoiding top-down BFS from `root`.
 pub fn bfs_branch_avoiding(graph: &CsrGraph, root: VertexId) -> BfsResult {
-    let n = graph.num_vertices();
-    let mut distances = vec![INFINITY; n];
-    // One extra slot so the unconditional "write past the end" of a
-    // non-discovery never goes out of bounds.
-    let mut queue: Vec<VertexId> = vec![0; n + 1];
-    if (root as usize) >= n {
-        return BfsResult::new(distances, Vec::new());
-    }
-
-    distances[root as usize] = 0;
-    queue[0] = root;
-    let mut queue_len = 1u64;
-    let mut head = 0usize;
-
-    while (head as u64) < queue_len {
-        let v = queue[head];
-        head += 1;
-        let next_level = distances[v as usize] + 1;
-        for &w in graph.neighbors(v) {
-            let old = distances[w as usize];
-            let undiscovered = old > next_level;
-            // Unconditional write of the candidate into the next slot.
-            queue[queue_len as usize] = w;
-            // Conditionally adopt the new distance and claim the slot.
-            let new_dist = select_u32(undiscovered, next_level, old);
-            queue_len = conditional_increment(queue_len, undiscovered);
-            // Unconditional write-back of the (possibly unchanged) distance.
-            distances[w as usize] = new_dist;
-        }
-    }
-
-    queue.truncate(queue_len as usize);
-    BfsResult::new(distances, queue)
+    plain_topdown::<true>(graph, root)
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::topdown_branch::bfs_branch_based;
     use super::*;
+    use crate::bfs::INFINITY;
     use bga_graph::generators::{
         barabasi_albert, complete_graph, cycle_graph, grid_2d, path_graph, star_graph, MeshStencil,
     };

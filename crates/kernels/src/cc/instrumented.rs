@@ -1,37 +1,21 @@
 //! Instrumented Shiloach-Vishkin kernels.
 //!
-//! These are the measurement versions of Algorithms 2 and 3: every memory
-//! access, conditional branch and conditional move is routed through a
-//! [`bga_branchsim::ExecMachine`] at exactly the points where the paper's
+//! The measurement versions of Algorithms 2 and 3: [`super::sv`]'s sweep
+//! run on an [`ExecMachine`], so every memory access, conditional branch
+//! and conditional move is counted at exactly the point where the paper's
 //! assembly issues the corresponding instruction, and counters are
 //! snapshotted at each sweep boundary. The resulting per-iteration series
-//! regenerate Figures 3, 4, 5, 9(a) and the SV half of Figure 10.
-//!
-//! Branch sites (Section 4.1 identifies four static conditional branches in
-//! the branch-based kernel):
-//!
-//! | site | paper branch |
-//! |------|--------------|
-//! | `SV_WHILE`     | `while change != 0` termination test |
-//! | `SV_OUTER_FOR` | `for v in V` |
-//! | `SV_INNER_FOR` | `for u in Neighbors[v]` |
-//! | `SV_IF`        | `if cu <= cv` (branch-based only) |
+//! regenerate Figures 3, 4, 5, 9(a) and the SV half of Figure 10. The
+//! branch sites are listed in [`super::sv`].
 
 use super::labels::ComponentLabels;
+use super::sv;
 use crate::stats::{RunCounters, StepCounters};
 use bga_branchsim::machine::ExecMachine;
 use bga_branchsim::predictor::{PredictorModel, TwoBitPredictor};
-use bga_branchsim::site::BranchSite;
 use bga_graph::CsrGraph;
 
-/// Termination test of the outer `while change != 0` loop.
-pub const SV_WHILE: BranchSite = BranchSite::new(0, "sv.while_change");
-/// The `for v in V` loop condition.
-pub const SV_OUTER_FOR: BranchSite = BranchSite::new(1, "sv.for_vertices");
-/// The `for u in Neighbors[v]` loop condition.
-pub const SV_INNER_FOR: BranchSite = BranchSite::new(2, "sv.for_neighbors");
-/// The data-dependent `if cu <= cv` label comparison (branch-based only).
-pub const SV_IF: BranchSite = BranchSite::new(3, "sv.if_label_smaller");
+pub use super::sv::{SV_IF, SV_INNER_FOR, SV_OUTER_FOR, SV_WHILE};
 
 /// Result of an instrumented SV run.
 #[derive(Clone, Debug)]
@@ -61,71 +45,8 @@ pub fn sv_branch_based_instrumented_with<P: PredictorModel>(
     graph: &CsrGraph,
     predictor: P,
 ) -> SvRun {
-    let n = graph.num_vertices();
     let mut machine = ExecMachine::with_predictor(predictor);
-    let mut ccid: Vec<u32> = Vec::with_capacity(n);
-
-    // Initialization: CCid[v] <- v, one store per vertex.
-    for v in 0..n as u32 {
-        ccid.push(0);
-        machine.store(&mut ccid[v as usize], v);
-        machine.alu(1); // loop index increment
-    }
-    let mut change = 1u32;
-    machine.alu(1); // change <- 1
-
-    let mut steps = Vec::new();
-    let mut iteration = 0usize;
-
-    // while change != 0
-    while machine.branch(SV_WHILE, change != 0) {
-        let snapshot = machine.snapshot();
-        change = 0;
-        machine.alu(1);
-
-        let mut edges_traversed = 0u64;
-        let mut updates = 0u64;
-
-        let mut v = 0u32;
-        // for v in V
-        while machine.branch(SV_OUTER_FOR, (v as usize) < n) {
-            let mut cv = machine.load(ccid[v as usize]);
-            let neighbors = graph.neighbors(v);
-            let mut idx = 0usize;
-            // for u in Neighbors[v]
-            while machine.branch(SV_INNER_FOR, idx < neighbors.len()) {
-                let u = neighbors[idx];
-                let cu = machine.load(ccid[u as usize]);
-                edges_traversed += 1;
-                // if cu < cv  (data-dependent branch)
-                if machine.branch(SV_IF, cu < cv) {
-                    cv = cu;
-                    machine.store(&mut ccid[v as usize], cu);
-                    change = 1;
-                    machine.alu(2); // register move + flag set
-                    updates += 1;
-                }
-                idx += 1;
-                machine.alu(1); // index increment
-            }
-            v += 1;
-            machine.alu(1); // index increment
-        }
-
-        steps.push(StepCounters {
-            step: iteration,
-            counters: machine.counters().delta_since(&snapshot),
-            edges_traversed,
-            vertices_processed: n as u64,
-            updates,
-        });
-        iteration += 1;
-    }
-
-    SvRun {
-        labels: ComponentLabels::new(ccid),
-        counters: RunCounters { steps },
-    }
+    counted(sv::run(graph, &mut machine, |_, _| false, false))
 }
 
 /// Instrumented branch-avoiding Shiloach-Vishkin (paper Algorithm 3) under
@@ -139,78 +60,15 @@ pub fn sv_branch_avoiding_instrumented_with<P: PredictorModel>(
     graph: &CsrGraph,
     predictor: P,
 ) -> SvRun {
-    let n = graph.num_vertices();
     let mut machine = ExecMachine::with_predictor(predictor);
-    let mut ccid: Vec<u32> = Vec::with_capacity(n);
-
-    for v in 0..n as u32 {
-        ccid.push(0);
-        machine.store(&mut ccid[v as usize], v);
-        machine.alu(1);
-    }
-    let mut change = 1u32;
-    machine.alu(1);
-
-    let mut steps = Vec::new();
-    let mut iteration = 0usize;
-
-    while machine.branch(SV_WHILE, change != 0) {
-        let snapshot = machine.snapshot();
-        change = 0;
-        machine.alu(1);
-
-        let mut edges_traversed = 0u64;
-        let mut updates = 0u64;
-
-        let mut v = 0u32;
-        while machine.branch(SV_OUTER_FOR, (v as usize) < n) {
-            let cv_init = machine.load(ccid[v as usize]);
-            let mut cv = cv_init;
-            machine.alu(1); // register copy of cinit
-
-            let neighbors = graph.neighbors(v);
-            let mut idx = 0usize;
-            while machine.branch(SV_INNER_FOR, idx < neighbors.len()) {
-                let cu = machine.load(ccid[u_at(neighbors, idx)]);
-                edges_traversed += 1;
-                // Conditional move replaces the data-dependent branch:
-                // cv <- cu iff cu < cv, preceded by a compare.
-                machine.alu(1); // CMP cu, cv
-                machine.cond_move(cu < cv, &mut cv, cu);
-                idx += 1;
-                machine.alu(1);
-            }
-
-            // Unconditional store of the register value, once per vertex.
-            machine.store(&mut ccid[v as usize], cv);
-            // change <- change OR (cv XOR cinit): two ALU ops, no branch.
-            change |= cv ^ cv_init;
-            machine.alu(2);
-            updates += (cv != cv_init) as u64;
-
-            v += 1;
-            machine.alu(1);
-        }
-
-        steps.push(StepCounters {
-            step: iteration,
-            counters: machine.counters().delta_since(&snapshot),
-            edges_traversed,
-            vertices_processed: n as u64,
-            updates,
-        });
-        iteration += 1;
-    }
-
-    SvRun {
-        labels: ComponentLabels::new(ccid),
-        counters: RunCounters { steps },
-    }
+    counted(sv::run(graph, &mut machine, |_, _| true, false))
 }
 
-#[inline]
-fn u_at(neighbors: &[u32], idx: usize) -> usize {
-    neighbors[idx] as usize
+fn counted((labels, _, steps): (ComponentLabels, usize, Vec<StepCounters>)) -> SvRun {
+    SvRun {
+        labels,
+        counters: RunCounters { steps },
+    }
 }
 
 #[cfg(test)]

@@ -4,19 +4,24 @@
 //! label-propagation algorithm in a branch-based form (paper Alg. 2) and a
 //! branch-avoiding form (paper Alg. 3), plus baselines and a hybrid.
 //!
-//! * [`sv_branch`] / [`sv_branchless`] — plain Rust kernels for wall-clock
-//!   measurement (Criterion benches); the branchless one is written around
-//!   the branch-free primitives in [`crate::select`].
-//! * [`instrumented`] — the same two algorithms written against
-//!   [`bga_branchsim::ExecMachine`], producing exact per-iteration counter
-//!   series (Figures 3-5, 9a, 10a).
-//! * [`sv_hybrid()`] — the crossover hybrid the paper suggests in Section 6.2.
+//! * [`sv`] — the one label-propagation sweep, written once against
+//!   [`bga_branchsim::Machine`] and generic over the discipline, plus the
+//!   fixed-point loop around it. Every entry point below runs it.
+//! * [`sv_branch`] / [`sv_branchless`] — the plain timed kernels (the
+//!   sweep on the zero-cost [`bga_branchsim::Uncounted`] machine).
+//! * [`instrumented`] — the same sweep on [`bga_branchsim::ExecMachine`],
+//!   producing exact per-iteration counter series (Figures 3-5, 9a, 10a).
+//! * [`sv_hybrid()`] — the crossover hybrid the paper suggests in Section
+//!   6.2: the discipline is chosen before each sweep.
+//! * [`sv_shortcut`] — the pointer-jumping extension: the sweep plus a jump
+//!   pass.
 //! * [`baseline`] — union-find and BFS-based reference implementations used
 //!   to cross-validate every SV variant.
 
 pub mod baseline;
 pub mod instrumented;
 pub mod labels;
+pub mod sv;
 pub mod sv_branch;
 pub mod sv_branchless;
 pub mod sv_hybrid;

@@ -1,21 +1,12 @@
 //! Branch-based Shiloach-Vishkin connected components (paper Algorithm 2).
 //!
-//! This is the plain Rust version used for wall-clock measurement: the
-//! data-dependent comparison `cu < cv` sits inside an `if`, so the compiler
-//! emits a conditional branch whose predictability varies across iterations
-//! exactly as Section 4.1 analyses.
-//!
-//! Two small corrections relative to the printed pseudocode are applied (and
-//! mirrored in the branch-avoiding variant so the comparison stays fair):
-//!
-//! 1. The comparison is strict (`cu < cv`). With the printed `<=`, a vertex
-//!    whose neighbour already carries the same label would set the `change`
-//!    flag every sweep and the algorithm would never terminate.
-//! 2. The running minimum `cv` is kept in a register and updated when a
-//!    smaller label is found, which is what the paper's tuned assembly does
-//!    (and what makes the final store per improvement meaningful).
+//! The plain timed kernel: the data-dependent comparison `cu < cv` sits
+//! inside an `if`, so the compiler emits a conditional branch whose
+//! predictability varies across iterations exactly as Section 4.1 analyses.
+//! The sweep itself is [`super::sv`]'s, run on the uncounted machine.
 
 use super::labels::ComponentLabels;
+use super::sv;
 use bga_graph::CsrGraph;
 
 /// Runs branch-based Shiloach-Vishkin label propagation to a fixed point and
@@ -28,26 +19,7 @@ pub fn sv_branch_based(graph: &CsrGraph) -> ComponentLabels {
 /// sweeps (iterations of the outer `while`) that were executed, which for a
 /// connected graph is bounded by the graph diameter plus one.
 pub fn sv_branch_based_with_stats(graph: &CsrGraph) -> (ComponentLabels, usize) {
-    let n = graph.num_vertices();
-    let mut ccid: Vec<u32> = (0..n as u32).collect();
-    let mut iterations = 0usize;
-    let mut change = true;
-    while change {
-        change = false;
-        iterations += 1;
-        for v in 0..n as u32 {
-            let mut cv = ccid[v as usize];
-            for &u in graph.neighbors(v) {
-                let cu = ccid[u as usize];
-                if cu < cv {
-                    cv = cu;
-                    ccid[v as usize] = cu;
-                    change = true;
-                }
-            }
-        }
-    }
-    (ComponentLabels::new(ccid), iterations)
+    sv::plain(graph, false, false)
 }
 
 #[cfg(test)]

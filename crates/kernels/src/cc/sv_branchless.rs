@@ -1,15 +1,14 @@
 //! Branch-avoiding Shiloach-Vishkin connected components (paper Algorithm 3).
 //!
-//! The data-dependent `if` of the branch-based version is replaced by a
-//! branch-free minimum into a register (`cv <- min(cv, cu)`), one
-//! unconditional store of `cv` per vertex per sweep, and a branch-free
-//! `change |= cv ^ cv_init` accumulation — the same transformation the
-//! paper's hand-written assembly performs with `CMOVcc`. The only remaining
-//! conditional branches are the loop bounds, which a 2-bit predictor handles
-//! with O(|V|) misses per sweep (Section 3.2).
+//! The plain timed kernel: the data-dependent `if` of the branch-based
+//! version is replaced by a conditional move into a register
+//! (`cv <- min(cv, cu)`), one unconditional store of `cv` per vertex per
+//! sweep, and a branch-free change count — the same transformation the
+//! paper's hand-written assembly performs with `CMOVcc`. The sweep itself
+//! is [`super::sv`]'s, run on the uncounted machine.
 
 use super::labels::ComponentLabels;
-use crate::select::branchless_min_u32;
+use super::sv;
 use bga_graph::CsrGraph;
 
 /// Runs branch-avoiding Shiloach-Vishkin label propagation to a fixed point.
@@ -19,27 +18,7 @@ pub fn sv_branch_avoiding(graph: &CsrGraph) -> ComponentLabels {
 
 /// As [`sv_branch_avoiding`], additionally returning the number of sweeps.
 pub fn sv_branch_avoiding_with_stats(graph: &CsrGraph) -> (ComponentLabels, usize) {
-    let n = graph.num_vertices();
-    let mut ccid: Vec<u32> = (0..n as u32).collect();
-    let mut iterations = 0usize;
-    let mut change = 1u32;
-    while change != 0 {
-        change = 0;
-        iterations += 1;
-        for v in 0..n as u32 {
-            let cv_init = ccid[v as usize];
-            let mut cv = cv_init;
-            for &u in graph.neighbors(v) {
-                let cu = ccid[u as usize];
-                cv = branchless_min_u32(cu, cv);
-            }
-            // One unconditional store per vertex, as in Algorithm 3.
-            ccid[v as usize] = cv;
-            // Bitwise OR of the XOR difference: non-zero iff any label moved.
-            change |= cv ^ cv_init;
-        }
-    }
-    (ComponentLabels::new(ccid), iterations)
+    sv::plain(graph, true, false)
 }
 
 #[cfg(test)]

@@ -12,14 +12,16 @@
 //! hybrid.
 
 use super::labels::ComponentLabels;
-use crate::select::branchless_min_u32;
+use super::sv;
+use bga_branchsim::Uncounted;
 use bga_graph::CsrGraph;
 
 /// Switching policy for the hybrid kernel.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum SwitchPolicy {
     /// Run the branch-avoiding kernel for exactly this many sweeps, then
-    /// switch to branch-based for the remainder.
+    /// switch to branch-based for the remainder (0: every sweep is
+    /// branch-based).
     FixedIteration(usize),
     /// Switch to branch-based once the fraction of vertices whose label
     /// changed in a sweep drops below this threshold (the point where the
@@ -50,8 +52,8 @@ impl Default for HybridConfig {
 pub struct HybridReport {
     /// Total sweeps executed.
     pub iterations: usize,
-    /// Sweep index (0-based) at which the branch-based kernel took over;
-    /// `None` if the run converged before switching.
+    /// Sweep index (0-based) of the first branch-based sweep; `None` if the
+    /// run converged before switching.
     pub switched_at: Option<usize>,
 }
 
@@ -60,74 +62,35 @@ pub fn sv_hybrid(graph: &CsrGraph, config: HybridConfig) -> ComponentLabels {
     sv_hybrid_with_report(graph, config).0
 }
 
-/// Runs the hybrid kernel, also reporting when the switch happened.
+/// Runs the hybrid kernel, also reporting when the switch happened. The
+/// discipline is chosen before each sweep; once switched, the run stays
+/// branch-based.
 pub fn sv_hybrid_with_report(
     graph: &CsrGraph,
     config: HybridConfig,
 ) -> (ComponentLabels, HybridReport) {
-    let n = graph.num_vertices();
-    let mut ccid: Vec<u32> = (0..n as u32).collect();
-    let mut iterations = 0usize;
-    let mut switched_at: Option<usize> = None;
-    let mut use_branch_based = false;
-    let mut change = true;
-
-    while change {
-        change = false;
-        let mut changed_vertices = 0u64;
-
-        if use_branch_based {
-            for v in 0..n as u32 {
-                let mut cv = ccid[v as usize];
-                let before = cv;
-                for &u in graph.neighbors(v) {
-                    let cu = ccid[u as usize];
-                    if cu < cv {
-                        cv = cu;
-                        ccid[v as usize] = cu;
-                        change = true;
-                    }
-                }
-                changed_vertices += (cv != before) as u64;
+    let n = graph.num_vertices() as f64;
+    let mut switched_at = None;
+    // Before sweep `sweep`, given the previous (branch-avoiding) sweep's
+    // update count: switch once the policy says so, then stay switched.
+    let avoiding = |sweep, updates| {
+        let switch = match config.policy {
+            SwitchPolicy::FixedIteration(k) => sweep >= k,
+            SwitchPolicy::ChangeFractionBelow(threshold) => {
+                sweep > 0 && (updates as f64 / n) < threshold
             }
-        } else {
-            let mut change_bits = 0u32;
-            for v in 0..n as u32 {
-                let cv_init = ccid[v as usize];
-                let mut cv = cv_init;
-                for &u in graph.neighbors(v) {
-                    cv = branchless_min_u32(ccid[u as usize], cv);
-                }
-                ccid[v as usize] = cv;
-                change_bits |= cv ^ cv_init;
-                changed_vertices += (cv != cv_init) as u64;
-            }
-            change = change_bits != 0;
+        };
+        if switch && switched_at.is_none() {
+            switched_at = Some(sweep);
         }
-
-        iterations += 1;
-
-        if !use_branch_based && switched_at.is_none() {
-            let should_switch = match config.policy {
-                SwitchPolicy::FixedIteration(k) => iterations >= k,
-                SwitchPolicy::ChangeFractionBelow(threshold) => {
-                    n > 0 && (changed_vertices as f64 / n as f64) < threshold
-                }
-            };
-            if should_switch && change {
-                use_branch_based = true;
-                switched_at = Some(iterations);
-            }
-        }
-    }
-
-    (
-        ComponentLabels::new(ccid),
-        HybridReport {
-            iterations,
-            switched_at,
-        },
-    )
+        switched_at.is_none()
+    };
+    let (labels, iterations, _) = sv::run(graph, &mut Uncounted, avoiding, false);
+    let report = HybridReport {
+        iterations,
+        switched_at,
+    };
+    (labels, report)
 }
 
 #[cfg(test)]
@@ -178,6 +141,14 @@ mod tests {
         );
         assert_eq!(report.switched_at, Some(2));
         assert!(report.iterations > 2, "a long path needs many more sweeps");
+        // Zero avoiding sweeps: the run is branch-based from the start.
+        let (_, report) = sv_hybrid_with_report(
+            &g,
+            HybridConfig {
+                policy: SwitchPolicy::FixedIteration(0),
+            },
+        );
+        assert_eq!(report.switched_at, Some(0));
     }
 
     #[test]

@@ -5,79 +5,24 @@
 //! implements that variant as an extension: after every label-propagation
 //! sweep, a pointer-jumping pass replaces every label by its label's label
 //! (`CCid[v] <- CCid[CCid[v]]`), so information travels two hops per
-//! iteration instead of one. Both a branch-based and a branch-avoiding
-//! version are provided so the branch-behaviour comparison can be repeated
-//! on the shortcut algorithm.
+//! iteration instead of one. Both disciplines are provided so the
+//! branch-behaviour comparison can be repeated on the shortcut algorithm:
+//! the branch-avoiding jump pass stores the jumped label unconditionally
+//! (it can never be larger than the current one, since labels only
+//! decrease).
 
 use super::labels::ComponentLabels;
-use crate::select::branchless_min_u32;
+use super::sv;
 use bga_graph::CsrGraph;
 
 /// Branch-based SV with pointer jumping. Returns labels and sweep count.
 pub fn sv_shortcut_branch_based(graph: &CsrGraph) -> (ComponentLabels, usize) {
-    let n = graph.num_vertices();
-    let mut ccid: Vec<u32> = (0..n as u32).collect();
-    let mut iterations = 0usize;
-    let mut change = true;
-    while change {
-        change = false;
-        iterations += 1;
-        for v in 0..n as u32 {
-            let mut cv = ccid[v as usize];
-            for &u in graph.neighbors(v) {
-                let cu = ccid[u as usize];
-                if cu < cv {
-                    cv = cu;
-                    ccid[v as usize] = cu;
-                    change = true;
-                }
-            }
-        }
-        // Pointer-jumping shortcut: follow one extra level of indirection.
-        for v in 0..n {
-            let label = ccid[v] as usize;
-            let jumped = ccid[label];
-            if jumped < ccid[v] {
-                ccid[v] = jumped;
-                change = true;
-            }
-        }
-    }
-    (ComponentLabels::new(ccid), iterations)
+    sv::plain(graph, false, true)
 }
 
-/// Branch-avoiding SV with pointer jumping: the propagation sweep uses the
-/// branch-free minimum and the jump pass uses an unconditional store of the
-/// jumped label (which can never be larger than the current one, since
-/// labels only decrease).
+/// Branch-avoiding SV with pointer jumping.
 pub fn sv_shortcut_branch_avoiding(graph: &CsrGraph) -> (ComponentLabels, usize) {
-    let n = graph.num_vertices();
-    let mut ccid: Vec<u32> = (0..n as u32).collect();
-    let mut iterations = 0usize;
-    let mut change = 1u32;
-    while change != 0 {
-        change = 0;
-        iterations += 1;
-        for v in 0..n as u32 {
-            let cv_init = ccid[v as usize];
-            let mut cv = cv_init;
-            for &u in graph.neighbors(v) {
-                cv = branchless_min_u32(ccid[u as usize], cv);
-            }
-            ccid[v as usize] = cv;
-            change |= cv ^ cv_init;
-        }
-        for v in 0..n {
-            let before = ccid[v];
-            let jumped = ccid[before as usize];
-            // Labels are monotonically non-increasing along the label chain,
-            // so the jumped value is always <= the current one: store it
-            // unconditionally and fold any difference into the change flag.
-            ccid[v] = jumped;
-            change |= before ^ jumped;
-        }
-    }
-    (ComponentLabels::new(ccid), iterations)
+    sv::plain(graph, true, true)
 }
 
 #[cfg(test)]

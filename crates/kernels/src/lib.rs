@@ -3,9 +3,16 @@
 //! The graph kernels of the *Branch-Avoiding Graph Algorithms* (SPAA 2015)
 //! reproduction: branch-based and branch-avoiding Shiloach-Vishkin
 //! connected components (paper Algorithms 2 and 3), branch-based and
-//! branch-avoiding top-down BFS (Algorithms 4 and 5), baselines, extension
-//! kernels, and instrumented variants of each that produce the exact
-//! per-iteration / per-level counter series the paper's figures plot.
+//! branch-avoiding top-down BFS (Algorithms 4 and 5), baselines and
+//! extension kernels.
+//!
+//! The SV sweep ([`cc::sv`]) and the top-down expansion ([`bfs::topdown`])
+//! are each written once, against the [`bga_branchsim::Machine`] seam and
+//! generic over the discipline. On the zero-cost [`bga_branchsim::Uncounted`]
+//! machine they are the plain timed kernels; on
+//! [`bga_branchsim::ExecMachine`] they are the instrumented kernels that
+//! produce the exact per-iteration / per-level counter series the paper's
+//! figures plot. The timed program is the counted program.
 //!
 //! ```
 //! use bga_graph::generators::{grid_2d, MeshStencil};

@@ -1,13 +1,12 @@
-//! Branch-free selection primitives.
+//! Branch-free selection primitives for kernels written outside the
+//! [`bga_branchsim::Machine`] seam.
 //!
 //! The paper's branch-avoiding kernels are hand-written assembly built
-//! around `CMOVcc`/predicated instructions. The wall-clock (uninstrumented)
-//! Rust kernels in this crate use these helpers instead: they are written so
-//! that the optimizer lowers them to conditional moves or arithmetic, never
-//! a conditional jump, which is the same transformation the paper performs
-//! by hand. The instrumented kernels do not need them (the
-//! [`bga_branchsim::ExecMachine`] counts a conditional move explicitly), but
-//! share them where convenient so the two code paths stay aligned.
+//! around `CMOVcc`/predicated instructions. The SV and top-down BFS kernels
+//! issue those through [`bga_branchsim::Machine::cond_move`]; the other
+//! sequential kernels (Brandes' branch-avoiding forward phase) use these
+//! helpers, written so the optimizer lowers them to conditional moves or
+//! arithmetic, never a conditional jump.
 
 /// Branch-free select: returns `if cond { a } else { b }` computed with a
 /// mask rather than a jump.
@@ -24,43 +23,6 @@ pub fn select_u32(cond: bool, a: u32, b: u32) -> u32 {
 pub fn select_u64(cond: bool, a: u64, b: u64) -> u64 {
     let mask = (cond as u64).wrapping_neg();
     (a & mask) | (b & !mask)
-}
-
-/// Branch-free select for `usize`.
-#[inline(always)]
-pub fn select_usize(cond: bool, a: usize, b: usize) -> usize {
-    let mask = (cond as usize).wrapping_neg();
-    (a & mask) | (b & !mask)
-}
-
-/// Branch-free minimum of two `u32`s (the core operation of branch-avoiding
-/// Shiloach-Vishkin: `cv <- min(cv, cu)`).
-#[inline(always)]
-pub fn branchless_min_u32(a: u32, b: u32) -> u32 {
-    select_u32(a < b, a, b)
-}
-
-/// Branch-free maximum of two `u32`s.
-#[inline(always)]
-pub fn branchless_max_u32(a: u32, b: u32) -> u32 {
-    select_u32(a > b, a, b)
-}
-
-/// Branch-free conditional increment: `value + (cond as u64)` — the paper's
-/// `COND_ADD(Qlen, 1)` used to advance the BFS queue cursor.
-#[inline(always)]
-pub fn conditional_increment(value: u64, cond: bool) -> u64 {
-    value + cond as u64
-}
-
-/// Returns 1 when the two labels differ, 0 otherwise, without branching —
-/// the `change ∨ (cv ⊕ cinit)` update of branch-avoiding SV reduces to
-/// OR-ing these together.
-#[inline(always)]
-pub fn changed_flag(a: u32, b: u32) -> u32 {
-    // XOR is non-zero iff the labels differ; fold it to 0/1 so callers can
-    // accumulate with a bitwise OR and test once at the end of the sweep.
-    ((a ^ b) != 0) as u32
 }
 
 #[cfg(test)]
@@ -83,42 +45,20 @@ mod tests {
     }
 
     #[test]
-    fn select_matches_branchy_equivalent_u64_usize() {
+    fn select_matches_branchy_equivalent_u64() {
         assert_eq!(select_u64(true, u64::MAX, 0), u64::MAX);
         assert_eq!(select_u64(false, u64::MAX, 0), 0);
-        assert_eq!(select_usize(true, 9, 1), 9);
-        assert_eq!(select_usize(false, 9, 1), 1);
-    }
-
-    #[test]
-    fn branchless_min_max() {
-        assert_eq!(branchless_min_u32(3, 9), 3);
-        assert_eq!(branchless_min_u32(9, 3), 3);
-        assert_eq!(branchless_min_u32(5, 5), 5);
-        assert_eq!(branchless_min_u32(0, u32::MAX), 0);
-        assert_eq!(branchless_max_u32(3, 9), 9);
-        assert_eq!(branchless_max_u32(u32::MAX, 1), u32::MAX);
-    }
-
-    #[test]
-    fn conditional_increment_behaviour() {
-        assert_eq!(conditional_increment(10, true), 11);
-        assert_eq!(conditional_increment(10, false), 10);
-    }
-
-    #[test]
-    fn changed_flag_is_zero_or_one() {
-        assert_eq!(changed_flag(4, 4), 0);
-        assert_eq!(changed_flag(4, 5), 1);
-        assert_eq!(changed_flag(0, u32::MAX), 1);
+        assert_eq!(select_u64(true, 9, 1), 9);
+        assert_eq!(select_u64(false, 9, 1), 1);
     }
 
     #[test]
     fn exhaustive_small_range_agreement() {
         for a in 0u32..16 {
             for b in 0u32..16 {
-                assert_eq!(branchless_min_u32(a, b), a.min(b));
-                assert_eq!(branchless_max_u32(a, b), a.max(b));
+                assert_eq!(select_u32(a < b, a, b), a.min(b));
+                assert_eq!(select_u32(a > b, a, b), a.max(b));
+                assert_eq!(select_u64(a < b, a.into(), b.into()), a.min(b).into());
             }
         }
     }

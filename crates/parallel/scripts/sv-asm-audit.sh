@@ -1,14 +1,19 @@
 #!/usr/bin/env bash
-# Disassembly audit of the parallel Shiloach-Vishkin sweep bodies.
+# Disassembly audit of the Shiloach-Vishkin sweep bodies and the
+# sequential top-down BFS bodies.
 #
 # Builds the `parallel_scaling` example in release mode, disassembles it
 # with objdump and extracts every instance of
 # `BranchAvoidingSweep::sweep_chunk` and `BranchBasedSweep::sweep_chunk`
-# (both are `#[inline(never)]`, so each instance has a symbol of its own).
-# The sweeps rely on one writer per label (see crates/parallel/src/sv.rs),
-# so neither body may hold an atomic read-modify-write: the audit fails on
-# any `lock`-prefixed instruction, any `cmpxchg` and any `xchg` with a
-# memory operand (implicitly locked). For each body it prints static
+# (the parallel sweeps) and of the sequential kernels' uncounted bodies,
+# `cc::sv::plain_sweep<AVOIDING>` and `bfs::topdown::plain_topdown<AVOIDING>`
+# (`<true>` is the branch-avoiding discipline, `<false>` the branch-based
+# one). All are `#[inline(never)]`, so each instance has a symbol of its
+# own. The parallel sweeps rely on one writer per label (see
+# crates/parallel/src/sv.rs) and the sequential bodies are single-threaded,
+# so no body may hold an atomic read-modify-write: the audit fails on any
+# `lock`-prefixed instruction, any `cmpxchg` and any `xchg` with a memory
+# operand (implicitly locked). For each body it prints static
 # instruction counts: conditional jumps, `cmov`s, and instructions that
 # load from or store to an explicit memory operand (a read-modify-write
 # such as `add [m], 1` counts as both, `cmp [m], r` as a load; `lea`,
@@ -21,8 +26,8 @@
 # (target/sv-asm-audit) so the main build cache stays valid.
 #
 # Exit status: 0 when the audit passes (or the host is not x86-64, where
-# it is skipped), 1 when a body is locked or no body was found, 2 when the
-# build or objdump fails.
+# it is skipped), 1 when a body is locked or a parallel or sequential body
+# was not found, 2 when the build or objdump fails.
 set -euo pipefail
 
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/../../.." && pwd)"
@@ -53,7 +58,15 @@ awk '
     sub(/^[0-9a-f]+ </, "", name)
     sub(/>:$/, "", name)
     body = (name ~ /Branch(Avoiding|Based)Sweep<(true|false)> as .*>::sweep_chunk$/)
-    if (body) {
+    if (name ~ /^bga_kernels::(cc::sv::plain_sweep|bfs::topdown::plain_topdown)::<(true|false)>$/) {
+        # "bga_kernels::cc::sv::plain_sweep::<true>" -> "cc::sv::plain_sweep<true>".
+        short = name
+        sub(/^bga_kernels::/, "", short)
+        sub(/::</, "<", short)
+        order[++bodies] = short
+        sequential++
+        body = 1
+    } else if (body) {
         # "BranchAvoidingSweep<false> as ...SweepKernel<...::CsrGraph>" ->
         # "BranchAvoidingSweep<false> on CsrGraph".
         short = name
@@ -98,11 +111,15 @@ body && /^ +[0-9a-f]+:\t/ {
     }
 }
 END {
-    if (bodies == 0) {
+    if (bodies == sequential) {
         print "sv-asm-audit: no BranchAvoidingSweep/BranchBasedSweep sweep_chunk symbol found" > "/dev/stderr"
         exit 1
     }
-    printf "%-40s %6s %5s %5s %6s %7s %7s\n", "sweep_chunk body", "insns", "jcc", "cmov", "loads", "stores", "locked"
+    if (sequential < 4) {
+        print "sv-asm-audit: found " sequential " of the 4 sequential plain_sweep/plain_topdown bodies" > "/dev/stderr"
+        exit 1
+    }
+    printf "%-40s %6s %5s %5s %6s %7s %7s\n", "body", "insns", "jcc", "cmov", "loads", "stores", "locked"
     failed = 0
     for (i = 1; i <= bodies; i++) {
         b = order[i]
@@ -110,9 +127,9 @@ END {
         if (locked[b] > 0) failed = 1
     }
     if (failed) {
-        print "sv-asm-audit: FAIL, a sweep body holds a locked read-modify-write" > "/dev/stderr"
+        print "sv-asm-audit: FAIL, a body holds a locked read-modify-write" > "/dev/stderr"
         exit 1
     }
-    print "sv-asm-audit: ok, no lock prefix, cmpxchg or memory xchg in any sweep body"
+    print "sv-asm-audit: ok, no lock prefix, cmpxchg or memory xchg in any body"
 }
 ' <<<"$listing"

@@ -5,7 +5,9 @@
 //! modelled cycles with the corresponding [`MachineModel`] cost profile; the
 //! *shape* of the resulting series — which variant is faster in which
 //! iterations, where the crossover falls, the total speedup — is the
-//! reproduction target (see DESIGN.md).
+//! reproduction target, because it follows from the exact event counts and
+//! the profile's relative costs, while absolute cycles would need the
+//! original hardware.
 
 use bga_branchsim::MachineModel;
 use bga_kernels::stats::RunCounters;

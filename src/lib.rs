@@ -63,7 +63,8 @@ pub use bga_serve as serve;
 /// Convenient re-exports of the items most applications need.
 pub mod prelude {
     pub use bga_branchsim::{
-        all_machine_models, BranchSite, ExecMachine, MachineModel, PerfCounters, TwoBitPredictor,
+        all_machine_models, BranchSite, ExecMachine, Machine, MachineModel, PerfCounters,
+        TwoBitPredictor, Uncounted,
     };
     pub use bga_graph::generators;
     pub use bga_graph::properties;

@@ -4,8 +4,10 @@
 #
 # Builds the `parallel_scaling` example in release mode, disassembles it
 # with objdump and extracts every instance of
-# `BranchAvoidingSweep::sweep_chunk` and `BranchBasedSweep::sweep_chunk`
-# (the parallel sweeps) and of the sequential kernels' uncounted bodies,
+# `BranchAvoidingSweep::sweep_chunk::<TALLY>` and
+# `BranchBasedSweep::sweep_chunk::<TALLY>` (the parallel sweeps, each
+# compiled with its counter accounting, `<true>`, and without it,
+# `<false>`) and of the sequential kernels' uncounted bodies,
 # `cc::sv::plain_sweep<AVOIDING>` and `bfs::topdown::plain_topdown<AVOIDING>`
 # (`<true>` is the branch-avoiding discipline, `<false>` the branch-based
 # one). All are `#[inline(never)]`, so each instance has a symbol of its
@@ -26,8 +28,9 @@
 # (target/sv-asm-audit) so the main build cache stays valid.
 #
 # Exit status: 0 when the audit passes (or the host is not x86-64, where
-# it is skipped), 1 when a body is locked or a parallel or sequential body
-# was not found, 2 when the build or objdump fails.
+# it is skipped), 1 when a body is locked or one of the four parallel
+# bodies (two disciplines, each tallied and untallied) or of the four
+# sequential bodies was not found, 2 when the build or objdump fails.
 set -euo pipefail
 
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/../../.." && pwd)"
@@ -57,7 +60,7 @@ awk '
     name = $0
     sub(/^[0-9a-f]+ </, "", name)
     sub(/>:$/, "", name)
-    body = (name ~ /Branch(Avoiding|Based)Sweep<(true|false)> as .*>::sweep_chunk$/)
+    body = (name ~ /Branch(Avoiding|Based)Sweep as .*>::sweep_chunk::<(true|false)>$/)
     if (name ~ /^bga_kernels::(cc::sv::plain_sweep|bfs::topdown::plain_topdown)::<(true|false)>$/) {
         # "bga_kernels::cc::sv::plain_sweep::<true>" -> "cc::sv::plain_sweep<true>".
         short = name
@@ -67,14 +70,23 @@ awk '
         sequential++
         body = 1
     } else if (body) {
-        # "BranchAvoidingSweep<false> as ...SweepKernel<...::CsrGraph>" ->
-        # "BranchAvoidingSweep<false> on CsrGraph".
+        # "<...::BranchAvoidingSweep as ...SweepKernel<...::CsrGraph>>
+        # ::sweep_chunk::<false>" -> "BranchAvoidingSweep<false> on CsrGraph".
+        tally = name
+        sub(/^.*::sweep_chunk::/, "", tally)
         short = name
         sub(/^<bga_parallel::sv::/, "", short)
-        sub(/ as .*SweepKernel</, " on ", short)
-        sub(/>>::sweep_chunk$/, "", short)
+        sub(/ as .*SweepKernel</, tally " on ", short)
+        sub(/>>::sweep_chunk::<(true|false)>$/, "", short)
         gsub(/[a-z_0-9]+::/, "", short)
         order[++bodies] = short
+        # Count each discipline/TALLY pair once, whatever the graph type.
+        kind = short
+        sub(/ on .*$/, "", kind)
+        if (!(kind in kinds)) {
+            kinds[kind] = 1
+            parallel++
+        }
     }
     next
 }
@@ -111,8 +123,8 @@ body && /^ +[0-9a-f]+:\t/ {
     }
 }
 END {
-    if (bodies == sequential) {
-        print "sv-asm-audit: no BranchAvoidingSweep/BranchBasedSweep sweep_chunk symbol found" > "/dev/stderr"
+    if (parallel < 4) {
+        print "sv-asm-audit: found " parallel " of the 4 parallel BranchAvoidingSweep/BranchBasedSweep sweep_chunk::<TALLY> bodies" > "/dev/stderr"
         exit 1
     }
     if (sequential < 4) {

@@ -5,7 +5,7 @@
 //! tallying on, feeds the first few phases' merged step counters to the
 //! perf model's [`VariantAdvisor`], and switches to the predicted-best
 //! discipline at the next phase boundary — the engine loops call
-//! [`phase_complete`](crate::engine::LevelKernel::phase_complete) between
+//! [`phase_complete`](crate::engine::PhaseHooks::phase_complete) between
 //! phases, which is the only point the mode changes. Switching mid-run is
 //! correctness-free: both disciplines maintain the same monotone atomic
 //! state (distances only decrease, degrees only decrement), so the
@@ -15,14 +15,20 @@
 //! the advisor charges it the paper's 2-bit-predictor bound and compares
 //! against the atomic premium the branch-avoiding variant would pay.
 //!
-//! The adapter holds both disciplines in tallied and untallied form and
-//! dispatches per chunk on an atomic mode word. Chunks only ever observe
-//! the mode the dispatching thread set before fanning the phase out, so a
-//! phase runs entirely in one discipline and the per-phase determinism
-//! arguments of the engine are untouched.
+//! The adapter holds one kernel of each discipline and dispatches per
+//! chunk on an atomic mode word. Chunks only ever observe the mode the
+//! dispatching thread set before fanning the phase out, so a phase runs
+//! entirely in one discipline and the per-phase determinism arguments of
+//! the engine are untouched. Whether a phase tallies is the engine loop's
+//! choice, not the adapter's: it tallies while the adapter samples
+//! ([`PhaseHooks::instrumented`]) and, on an instrumented or traced run,
+//! after the switch too.
 
 use crate::counters::ThreadTally;
-use crate::engine::{BucketCtx, BucketKernel, EdgeClass, LevelCtx, LevelKernel, SweepKernel};
+use crate::engine::{
+    BucketCtx, BucketKernel, EdgeClass, LevelCtx, LevelKernel, PhaseHooks, SweepKernel,
+};
+use crate::kcore::{PeelControl, PeelCtx};
 use bga_graph::{AdjacencySource, VertexId, WeightedAdjacencySource};
 use bga_kernels::bfs::frontier::Bitmap;
 use bga_kernels::stats::StepCounters;
@@ -54,76 +60,57 @@ const MODE_SAMPLING: u8 = 0;
 const MODE_BASED: u8 = 1;
 const MODE_AVOIDING: u8 = 2;
 
-/// Which of the four monomorphized kernels a chunk should run on, derived
-/// from the mode word and the tallying policy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Lane {
-    /// Sampling, or decided-based on an instrumented run.
-    BasedTallied,
-    /// Decided-based on a plain run.
-    BasedPlain,
-    /// Decided-avoiding on an instrumented run.
-    AvoidingTallied,
-    /// Decided-avoiding on a plain run.
-    AvoidingPlain,
-}
-
-/// The mode word + advisor shared by [`AutoSwitch`] and the k-core peel's
-/// adaptive discipline: samples accumulate while the mode word says
-/// `sampling`, and the decision flips it exactly once at a phase boundary.
-pub(crate) struct AutoState {
+/// Kernel adapter that samples branch-based phases, consults the
+/// [`VariantAdvisor`], and hot-switches discipline at a phase boundary.
+///
+/// Generic over the branch-based kernel `B` and the branch-avoiding kernel
+/// `A` it dispatches to, so the per-chunk indirection is one atomic load
+/// and a jump, not dynamic dispatch inside the edge loop. Samples
+/// accumulate while the mode word says `sampling`; the decision flips it
+/// exactly once.
+pub struct AutoSwitch<B, A> {
+    based: B,
+    avoiding: A,
     mode: AtomicU8,
     advisor: Mutex<VariantAdvisor>,
-    /// Keep tallying after the switch (instrumented runs want full
-    /// counter series, not just the sampled prefix).
-    tally_always: bool,
 }
 
-impl AutoState {
-    pub(crate) fn new(config: AdvisorConfig, tally_always: bool) -> Self {
-        AutoState {
+impl<B, A> AutoSwitch<B, A> {
+    /// An adapter over the two disciplines' kernels, sampling per the
+    /// default [`AdvisorConfig`].
+    pub fn new(based: B, avoiding: A) -> Self {
+        AutoSwitch {
+            based,
+            avoiding,
             mode: AtomicU8::new(MODE_SAMPLING),
-            advisor: Mutex::new(VariantAdvisor::new(config)),
-            tally_always,
+            advisor: Mutex::new(VariantAdvisor::new(AdvisorConfig::default())),
         }
     }
 
-    /// The discipline currently in force (`BranchBased` while sampling).
-    pub(crate) fn current(&self) -> ChosenVariant {
-        match self.mode.load(Relaxed) {
-            MODE_AVOIDING => ChosenVariant::BranchAvoiding,
-            _ => ChosenVariant::BranchBased,
-        }
+    /// Whether chunks dispatched right now run branch-avoiding (never
+    /// while sampling).
+    fn runs_avoiding(&self) -> bool {
+        self.mode.load(Relaxed) == MODE_AVOIDING
+    }
+}
+
+impl<B: Sync, A: Sync> PhaseHooks for AutoSwitch<B, A> {
+    /// Tally every phase while sampling: the advisor needs the counts.
+    fn instrumented(&self) -> bool {
+        self.mode.load(Relaxed) == MODE_SAMPLING
     }
 
-    /// Whether the advisor has decided yet.
-    pub(crate) fn decided(&self) -> bool {
-        self.mode.load(Relaxed) != MODE_SAMPLING
-    }
-
-    /// Whether chunks dispatched right now should tally.
-    pub(crate) fn tallied(&self) -> bool {
-        self.mode.load(Relaxed) == MODE_SAMPLING || self.tally_always
-    }
-
-    /// The kernel lane chunks dispatched right now should run on.
-    pub(crate) fn lane(&self) -> Lane {
-        match (self.mode.load(Relaxed), self.tally_always) {
-            (MODE_SAMPLING, _) | (MODE_BASED, true) => Lane::BasedTallied,
-            (MODE_BASED, false) => Lane::BasedPlain,
-            (_, true) => Lane::AvoidingTallied,
-            (_, false) => Lane::AvoidingPlain,
-        }
-    }
-
-    /// Shared `phase_complete` logic: feed the merged step to the advisor
-    /// while sampling; flip the mode exactly once at the decision.
-    pub(crate) fn on_phase(&self, step: Option<&StepCounters>) -> Option<SwitchNotice> {
+    /// Feed the merged step to the advisor while sampling; flip the mode
+    /// exactly once at the decision.
+    fn phase_complete(&self, step: Option<&StepCounters>) -> Option<SwitchNotice> {
         if self.mode.load(Relaxed) != MODE_SAMPLING {
             return None;
         }
         let step = step?;
-        let mut advisor = self.advisor.lock().unwrap();
+        let mut advisor = self
+            .advisor
+            .lock()
+            .expect("no phase panics holding the advisor");
         let decision = advisor.record_phase(step.edges_traversed, step.updates)?;
         let (mode, switched) = match decision.choice {
             ChosenVariant::BranchBased => (MODE_BASED, false),
@@ -141,74 +128,13 @@ impl AutoState {
     }
 }
 
-/// Kernel adapter that samples branch-based phases, consults the
-/// [`VariantAdvisor`], and hot-switches discipline at a phase boundary.
-///
-/// Generic over the four monomorphized kernels it can dispatch to —
-/// branch-based and branch-avoiding, each tallied and untallied — so the
-/// per-chunk indirection is one atomic load and a jump, not dynamic
-/// dispatch inside the edge loop.
-pub struct AutoSwitch<BT, BP, AT, AP> {
-    based_tallied: BT,
-    based_plain: BP,
-    avoiding_tallied: AT,
-    avoiding_plain: AP,
-    state: AutoState,
-}
-
-impl<BT, BP, AT, AP> AutoSwitch<BT, BP, AT, AP> {
-    /// An adapter over the four concrete kernels, sampling per `config`.
-    /// With `tally_always` the post-switch phases keep tallying too.
-    pub fn new(
-        based_tallied: BT,
-        based_plain: BP,
-        avoiding_tallied: AT,
-        avoiding_plain: AP,
-        config: AdvisorConfig,
-        tally_always: bool,
-    ) -> Self {
-        AutoSwitch {
-            based_tallied,
-            based_plain,
-            avoiding_tallied,
-            avoiding_plain,
-            state: AutoState::new(config, tally_always),
-        }
-    }
-
-    /// The discipline currently in force (`BranchBased` while sampling).
-    pub fn current(&self) -> ChosenVariant {
-        self.state.current()
-    }
-
-    /// Whether the advisor has decided yet (multi-phase drivers — Brandes
-    /// betweenness — stop offsetting samples once this is true).
-    pub fn decided(&self) -> bool {
-        self.state.decided()
-    }
-
-    fn tallied(&self) -> bool {
-        self.state.tallied()
-    }
-
-    fn on_phase(&self, step: Option<&StepCounters>) -> Option<SwitchNotice> {
-        self.state.on_phase(step)
-    }
-}
-
-impl<G, BT, BP, AT, AP> LevelKernel<G> for AutoSwitch<BT, BP, AT, AP>
+impl<G, B, A> LevelKernel<G> for AutoSwitch<B, A>
 where
     G: AdjacencySource,
-    BT: LevelKernel<G>,
-    BP: LevelKernel<G>,
-    AT: LevelKernel<G>,
-    AP: LevelKernel<G>,
+    B: LevelKernel<G>,
+    A: LevelKernel<G>,
 {
-    fn instrumented(&self) -> bool {
-        self.tallied()
-    }
-
-    fn top_down_chunk(
+    fn top_down_chunk<const TALLY: bool>(
         &self,
         ctx: &LevelCtx<'_, G>,
         frontier: &[VertexId],
@@ -216,96 +142,59 @@ where
         chunk_edges: usize,
         tally: &mut ThreadTally,
     ) -> Vec<VertexId> {
-        match self.state.lane() {
-            Lane::BasedTallied => {
-                self.based_tallied
-                    .top_down_chunk(ctx, frontier, range, chunk_edges, tally)
-            }
-            Lane::BasedPlain => {
-                self.based_plain
-                    .top_down_chunk(ctx, frontier, range, chunk_edges, tally)
-            }
-            Lane::AvoidingTallied => {
-                self.avoiding_tallied
-                    .top_down_chunk(ctx, frontier, range, chunk_edges, tally)
-            }
-            Lane::AvoidingPlain => {
-                self.avoiding_plain
-                    .top_down_chunk(ctx, frontier, range, chunk_edges, tally)
-            }
+        if self.runs_avoiding() {
+            self.avoiding
+                .top_down_chunk::<TALLY>(ctx, frontier, range, chunk_edges, tally)
+        } else {
+            self.based
+                .top_down_chunk::<TALLY>(ctx, frontier, range, chunk_edges, tally)
         }
     }
 
-    fn bottom_up_chunk(
+    fn bottom_up_chunk<const TALLY: bool>(
         &self,
         ctx: &LevelCtx<'_, G>,
         in_frontier: &Bitmap,
         range: Range<usize>,
         tally: &mut ThreadTally,
     ) -> Vec<VertexId> {
-        match self.state.lane() {
-            Lane::BasedTallied => {
-                self.based_tallied
-                    .bottom_up_chunk(ctx, in_frontier, range, tally)
-            }
-            Lane::BasedPlain => self
-                .based_plain
-                .bottom_up_chunk(ctx, in_frontier, range, tally),
-            Lane::AvoidingTallied => {
-                self.avoiding_tallied
-                    .bottom_up_chunk(ctx, in_frontier, range, tally)
-            }
-            Lane::AvoidingPlain => {
-                self.avoiding_plain
-                    .bottom_up_chunk(ctx, in_frontier, range, tally)
-            }
+        if self.runs_avoiding() {
+            self.avoiding
+                .bottom_up_chunk::<TALLY>(ctx, in_frontier, range, tally)
+        } else {
+            self.based
+                .bottom_up_chunk::<TALLY>(ctx, in_frontier, range, tally)
         }
-    }
-
-    fn phase_complete(&self, step: Option<&StepCounters>) -> Option<SwitchNotice> {
-        self.on_phase(step)
     }
 }
 
-impl<G, BT, BP, AT, AP> SweepKernel<G> for AutoSwitch<BT, BP, AT, AP>
+impl<G, B, A> SweepKernel<G> for AutoSwitch<B, A>
 where
     G: AdjacencySource,
-    BT: SweepKernel<G>,
-    BP: SweepKernel<G>,
-    AT: SweepKernel<G>,
-    AP: SweepKernel<G>,
+    B: SweepKernel<G>,
+    A: SweepKernel<G>,
 {
-    fn instrumented(&self) -> bool {
-        self.tallied()
-    }
-
-    fn sweep_chunk(&self, graph: &G, range: Range<usize>, tally: &mut ThreadTally) -> bool {
-        match self.state.lane() {
-            Lane::BasedTallied => self.based_tallied.sweep_chunk(graph, range, tally),
-            Lane::BasedPlain => self.based_plain.sweep_chunk(graph, range, tally),
-            Lane::AvoidingTallied => self.avoiding_tallied.sweep_chunk(graph, range, tally),
-            Lane::AvoidingPlain => self.avoiding_plain.sweep_chunk(graph, range, tally),
+    fn sweep_chunk<const TALLY: bool>(
+        &self,
+        graph: &G,
+        range: Range<usize>,
+        tally: &mut ThreadTally,
+    ) -> bool {
+        if self.runs_avoiding() {
+            self.avoiding.sweep_chunk::<TALLY>(graph, range, tally)
+        } else {
+            self.based.sweep_chunk::<TALLY>(graph, range, tally)
         }
-    }
-
-    fn phase_complete(&self, step: Option<&StepCounters>) -> Option<SwitchNotice> {
-        self.on_phase(step)
     }
 }
 
-impl<W, BT, BP, AT, AP> BucketKernel<W> for AutoSwitch<BT, BP, AT, AP>
+impl<W, B, A> BucketKernel<W> for AutoSwitch<B, A>
 where
     W: WeightedAdjacencySource,
-    BT: BucketKernel<W>,
-    BP: BucketKernel<W>,
-    AT: BucketKernel<W>,
-    AP: BucketKernel<W>,
+    B: BucketKernel<W>,
+    A: BucketKernel<W>,
 {
-    fn instrumented(&self) -> bool {
-        self.tallied()
-    }
-
-    fn relax_chunk(
+    fn relax_chunk<const TALLY: bool>(
         &self,
         ctx: &BucketCtx<'_, W>,
         frontier: &[(VertexId, u32)],
@@ -314,27 +203,49 @@ where
         class: EdgeClass,
         tally: &mut ThreadTally,
     ) -> Vec<VertexId> {
-        match self.state.lane() {
-            Lane::BasedTallied => {
-                self.based_tallied
-                    .relax_chunk(ctx, frontier, range, chunk_edges, class, tally)
-            }
-            Lane::BasedPlain => {
-                self.based_plain
-                    .relax_chunk(ctx, frontier, range, chunk_edges, class, tally)
-            }
-            Lane::AvoidingTallied => {
-                self.avoiding_tallied
-                    .relax_chunk(ctx, frontier, range, chunk_edges, class, tally)
-            }
-            Lane::AvoidingPlain => {
-                self.avoiding_plain
-                    .relax_chunk(ctx, frontier, range, chunk_edges, class, tally)
-            }
+        if self.runs_avoiding() {
+            self.avoiding
+                .relax_chunk::<TALLY>(ctx, frontier, range, chunk_edges, class, tally)
+        } else {
+            self.based
+                .relax_chunk::<TALLY>(ctx, frontier, range, chunk_edges, class, tally)
+        }
+    }
+}
+
+impl<G, B, A> PeelControl<G> for AutoSwitch<B, A>
+where
+    G: AdjacencySource,
+    B: PeelControl<G>,
+    A: PeelControl<G>,
+{
+    fn seed<const TALLY: bool>(
+        &self,
+        ctx: &PeelCtx<'_, G>,
+        range: Range<usize>,
+        tally: &mut ThreadTally,
+    ) -> (Vec<VertexId>, u32) {
+        if self.runs_avoiding() {
+            self.avoiding.seed::<TALLY>(ctx, range, tally)
+        } else {
+            self.based.seed::<TALLY>(ctx, range, tally)
         }
     }
 
-    fn phase_complete(&self, step: Option<&StepCounters>) -> Option<SwitchNotice> {
-        self.on_phase(step)
+    fn cascade<const TALLY: bool>(
+        &self,
+        ctx: &PeelCtx<'_, G>,
+        frontier: &[VertexId],
+        range: Range<usize>,
+        chunk_edges: usize,
+        tally: &mut ThreadTally,
+    ) -> Vec<VertexId> {
+        if self.runs_avoiding() {
+            self.avoiding
+                .cascade::<TALLY>(ctx, frontier, range, chunk_edges, tally)
+        } else {
+            self.based
+                .cascade::<TALLY>(ctx, frontier, range, chunk_edges, tally)
+        }
     }
 }

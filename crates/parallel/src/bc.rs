@@ -42,9 +42,10 @@
 //! [`bga_kernels::bc::betweenness_centrality_sources`].
 
 use crate::auto::AutoSwitch;
-use crate::cancel::{self, RunOutcome};
+use crate::cancel::RunOutcome;
+use crate::counters::ThreadTally;
 use crate::engine::{
-    frontier_degree_prefix, LevelCtx, LevelKernel, LevelLoop, LevelRun, TraversalState,
+    frontier_degree_prefix, LevelCtx, LevelKernel, LevelLoop, LevelRun, PhaseHooks, TraversalState,
 };
 use crate::pool::{balanced_prefix_ranges, effective_chunks_with_grain, Execute};
 use crate::request::{ExecutorAxis, RunConfig, Variant};
@@ -52,8 +53,7 @@ use crate::trace::{run_footprint, RunScope};
 use bga_graph::{AdjacencySource, VertexId};
 use bga_kernels::bfs::direction_optimizing::DirectionConfig;
 use bga_kernels::bfs::INFINITY;
-use bga_obs::{OffsetSink, TraceEvent, TraceSink};
-use bga_perfmodel::advisor::AdvisorConfig;
+use bga_obs::{TraceEvent, TraceSink};
 use std::ops::Range;
 use std::sync::atomic::Ordering::Relaxed;
 
@@ -84,22 +84,20 @@ pub struct ParBcRun {
 /// the early-exit bottom-up claim would skip). `TALLY` compiles in the
 /// per-thread instruction tally, feeding phase counters and the variant
 /// advisor.
-struct BcForward<const BRANCH_AVOIDING: bool, const TALLY: bool>;
+struct BcForward<const BRANCH_AVOIDING: bool>;
 
-impl<G: AdjacencySource, const BRANCH_AVOIDING: bool, const TALLY: bool> LevelKernel<G>
-    for BcForward<BRANCH_AVOIDING, TALLY>
+impl<const BRANCH_AVOIDING: bool> PhaseHooks for BcForward<BRANCH_AVOIDING> {}
+
+impl<G: AdjacencySource, const BRANCH_AVOIDING: bool> LevelKernel<G>
+    for BcForward<BRANCH_AVOIDING>
 {
-    fn instrumented(&self) -> bool {
-        TALLY
-    }
-
-    fn top_down_chunk(
+    fn top_down_chunk<const TALLY: bool>(
         &self,
         ctx: &LevelCtx<'_, G>,
         frontier: &[VertexId],
         range: Range<usize>,
         chunk_edges: usize,
-        tally: &mut crate::counters::ThreadTally,
+        tally: &mut ThreadTally,
     ) -> Vec<VertexId> {
         let distances = ctx.state.distances();
         let sigma = ctx.state.sigma().expect("BC traversal state carries sigma");
@@ -195,28 +193,6 @@ impl<G: AdjacencySource, const BRANCH_AVOIDING: bool, const TALLY: bool> LevelKe
     }
 }
 
-/// One shared auto-switching forward kernel for a whole multi-source run:
-/// the advisor samples the first source's levels and the decision then
-/// persists across every subsequent source on the same snapshot.
-#[allow(clippy::type_complexity)]
-fn auto_forward(
-    tally_always: bool,
-) -> AutoSwitch<
-    BcForward<false, true>,
-    BcForward<false, false>,
-    BcForward<true, true>,
-    BcForward<true, false>,
-> {
-    AutoSwitch::new(
-        BcForward::<false, true>,
-        BcForward::<false, false>,
-        BcForward::<true, true>,
-        BcForward::<true, false>,
-        AdvisorConfig::default(),
-        tally_always,
-    )
-}
-
 /// Pull-style dependency accumulation for one finished source: walk the
 /// recorded level boundaries deepest-first; every vertex of a level reads
 /// the finished δ of its children one level down, so δ writes are
@@ -288,9 +264,9 @@ fn accumulate_dependencies<G: AdjacencySource, E: Execute>(
 /// same rule as every other kernel (instrumented or traced), in every
 /// variant, so a traced run's phase counters are real.
 ///
-/// The token is checked between sources (against the total forward
-/// phases run so far) and inside each source's forward traversal at
-/// every level boundary; a source whose traversal is interrupted
+/// The token is checked at every forward level boundary against the
+/// run's total: each source's traversal numbers its phases after the
+/// sources before it. A source whose traversal is interrupted
 /// contributes nothing, so the returned scores are always the *exact*
 /// accumulation over the first `sources_done` sources.
 pub(crate) fn run_request<G: AdjacencySource, S: TraceSink, X: ExecutorAxis>(
@@ -325,41 +301,36 @@ pub(crate) fn run_request<G: AdjacencySource, S: TraceSink, X: ExecutorAxis>(
     let mut centrality = vec![0.0f64; n];
     let mut delta = vec![0.0f64; n];
     let mut state = TraversalState::with_sigma(n);
-    let (exec, grain, token) = (scope.exec(), scope.grain, scope.cancel);
-    let level_loop = LevelLoop::new(graph, exec, grain, DirectionConfig::always_top_down());
+    let (exec, grain, token, sink) = (scope.exec(), scope.grain, scope.cancel, scope.sink());
+    let level_loop = LevelLoop::new(
+        graph,
+        exec,
+        grain,
+        scope.tally,
+        DirectionConfig::always_top_down(),
+    );
     let mut sources_done = 0usize;
-    // Counted here rather than through the scope so the budget works with
-    // a disabled sink too (a NoopSink never sees the phase events).
+    // Forward levels run so far: where the next source's phases start.
     let mut total_phases = 0usize;
     let mut outcome = RunOutcome::Completed;
     // Shared across sources: the advisor samples the first source's
     // levels, and every later source runs the chosen static discipline.
-    let auto = auto_forward(scope.tally);
+    let auto = AutoSwitch::new(BcForward::<false>, BcForward::<true>);
     for &source in source_list {
         if (source as usize) >= n {
             sources_done += 1;
             continue;
         }
-        if let Some(stop) = cancel::check(token, total_phases) {
-            outcome = stop;
-            break;
-        }
         state.reset();
-        let sink = &OffsetSink::new(scope.sink(), scope.sink().phases_so_far());
-        let (run, forward_outcome) = match (variant, scope.tally) {
-            (BcVariant::BranchAvoiding, false) => {
-                level_loop.run(&state, source, &BcForward::<true, false>, sink, token)
+        let level_loop = level_loop.starting_at(total_phases);
+        let (run, forward_outcome) = match variant {
+            BcVariant::BranchAvoiding => {
+                level_loop.run(&state, source, &BcForward::<true>, sink, token)
             }
-            (BcVariant::BranchAvoiding, true) => {
-                level_loop.run(&state, source, &BcForward::<true, true>, sink, token)
+            BcVariant::BranchBased => {
+                level_loop.run(&state, source, &BcForward::<false>, sink, token)
             }
-            (BcVariant::BranchBased, false) => {
-                level_loop.run(&state, source, &BcForward::<false, false>, sink, token)
-            }
-            (BcVariant::BranchBased, true) => {
-                level_loop.run(&state, source, &BcForward::<false, true>, sink, token)
-            }
-            (BcVariant::Auto, _) => level_loop.run(&state, source, &auto, sink, token),
+            BcVariant::Auto => level_loop.run(&state, source, &auto, sink, token),
         };
         if !forward_outcome.is_completed() {
             outcome = forward_outcome;
@@ -529,23 +500,43 @@ mod tests {
 
     #[test]
     fn interrupted_accumulations_are_exact_over_the_source_prefix() {
-        let g = barabasi_albert(200, 2, 9);
-        let sources: Vec<VertexId> = (0..40).collect();
-        // A global phase budget cuts between sources once the total
-        // forward-level count crosses it; the surviving scores must be
-        // exactly the accumulation over the completed prefix.
-        let token = CancelToken::new().with_phase_budget(12);
-        let (run, outcome) = run_request(
-            &g,
-            Variant::BranchAvoiding,
-            Some(&sources),
-            &RunConfig::new().threads(2).cancel(&token),
-        );
-        assert!(!outcome.is_completed());
-        let done = run.sources_done;
-        assert!(done > 0 && done < sources.len(), "done = {done}");
-        let expected = betweenness_centrality_sources(&g, &sources[..done]);
-        assert_close(&run.scores, &expected);
+        use crate::cancel::InterruptReason;
+        // A global phase budget stops the run once that many forward
+        // levels have completed across all sources. Both budgets land
+        // mid-source: the cut source contributes nothing, so the surviving
+        // scores must be exactly the accumulation over the completed
+        // prefix.
+        let cases = [
+            (
+                barabasi_albert(200, 2, 9),
+                (0..40).collect::<Vec<VertexId>>(),
+                12,
+            ),
+            (grid_2d(40, 3, MeshStencil::VonNeumann), vec![0, 1, 2], 60),
+        ];
+        for (g, sources, budget) in &cases {
+            for variant in [Variant::BranchBased, Variant::BranchAvoiding] {
+                let token = CancelToken::new().with_phase_budget(*budget);
+                let (run, outcome) = run_request(
+                    g,
+                    variant,
+                    Some(sources),
+                    &RunConfig::new().threads(2).cancel(&token),
+                );
+                assert_eq!(
+                    outcome,
+                    RunOutcome::Interrupted {
+                        reason: InterruptReason::PhaseBudgetExhausted,
+                        phases_done: *budget,
+                    },
+                    "{variant:?}, budget {budget}"
+                );
+                let done = run.sources_done;
+                assert!(done > 0 && done < sources.len(), "done = {done}");
+                let expected = betweenness_centrality_sources(g, &sources[..done]);
+                assert_close(&run.scores, &expected);
+            }
+        }
     }
 
     #[test]

@@ -18,11 +18,11 @@
 //! `BfsStrategy::DirectionOptimizing` runs the branch-avoiding kernel
 //! under a [`DirectionConfig`] that lets the engine switch to *bottom-up* levels
 //! over a shared bitmap frontier — the direction-switching regime of
-//! Beamer et al. that the paper evaluates branch-avoidance against. Both
-//! kernels carry a `TALLY` const parameter: with it, every chunk accounts
-//! its loads/stores/branches into a [`crate::counters::ThreadTally`]
-//! (including the bottom-up levels), without it the tally code compiles
-//! out entirely.
+//! Beamer et al. that the paper evaluates branch-avoidance against. Every
+//! chunk method takes a `TALLY` const parameter: with it, the chunk
+//! accounts its loads/stores/branches into a
+//! [`crate::counters::ThreadTally`] (including the bottom-up levels),
+//! without it the tally code compiles out entirely.
 //!
 //! Distances only ever step from `INFINITY` to the unique BFS level of a
 //! vertex, and within a level every contender writes the same value, so
@@ -33,18 +33,17 @@
 //! bottom-up levels discover in ascending vertex order.
 
 use crate::auto::AutoSwitch;
-use crate::cancel::RunOutcome;
+use crate::cancel::{CancelToken, RunOutcome};
 use crate::counters::ThreadTally;
-use crate::engine::{bottom_up_claim, LevelCtx, LevelKernel, LevelLoop, TraversalState};
+use crate::engine::{LevelCtx, LevelKernel, LevelLoop, LevelRun, PhaseHooks, TraversalState};
+use crate::pool::Execute;
 use crate::request::{BfsStrategy, ExecutorAxis, RunConfig, Variant};
 use crate::trace::{run_footprint, RunScope};
 use bga_graph::{AdjacencySource, VertexId};
 use bga_kernels::bfs::direction_optimizing::DirectionConfig;
-use bga_kernels::bfs::frontier::Bitmap;
 use bga_kernels::bfs::{BfsResult, INFINITY};
 use bga_kernels::stats::RunCounters;
 use bga_obs::{TraceEvent, TraceSink};
-use bga_perfmodel::advisor::AdvisorConfig;
 use std::ops::Range;
 use std::sync::atomic::Ordering::Relaxed;
 
@@ -95,16 +94,15 @@ impl ParDirBfsRun {
 }
 
 /// Top-down expansion claiming vertices with a data-dependent test plus a
-/// CAS (paper Algorithm 4 in the concurrent setting). With `TALLY`, every
-/// operation is accounted into the chunk's [`ThreadTally`].
-pub struct BranchBasedLevel<const TALLY: bool>;
+/// CAS (paper Algorithm 4 in the concurrent setting); its bottom-up step
+/// is the shared bitmap claim. With `TALLY`, every operation is accounted
+/// into the chunk's [`ThreadTally`].
+pub struct BranchBasedLevel;
 
-impl<G: AdjacencySource, const TALLY: bool> LevelKernel<G> for BranchBasedLevel<TALLY> {
-    fn instrumented(&self) -> bool {
-        TALLY
-    }
+impl PhaseHooks for BranchBasedLevel {}
 
-    fn top_down_chunk(
+impl<G: AdjacencySource> LevelKernel<G> for BranchBasedLevel {
+    fn top_down_chunk<const TALLY: bool>(
         &self,
         ctx: &LevelCtx<'_, G>,
         frontier: &[VertexId],
@@ -150,30 +148,18 @@ impl<G: AdjacencySource, const TALLY: bool> LevelKernel<G> for BranchBasedLevel<
         }
         local
     }
-
-    fn bottom_up_chunk(
-        &self,
-        ctx: &LevelCtx<'_, G>,
-        in_frontier: &Bitmap,
-        range: Range<usize>,
-        tally: &mut ThreadTally,
-    ) -> Vec<VertexId> {
-        bottom_up_claim::<G, TALLY>(ctx, in_frontier, range, tally)
-    }
 }
 
 /// Top-down expansion with one `fetch_min` per edge and branch-free
 /// buffer advancement (paper Algorithm 5 in the concurrent setting); its
 /// bottom-up step is the shared bitmap claim. With `TALLY`, every
 /// operation is accounted into the chunk's [`ThreadTally`].
-pub struct BranchAvoidingLevel<const TALLY: bool>;
+pub struct BranchAvoidingLevel;
 
-impl<G: AdjacencySource, const TALLY: bool> LevelKernel<G> for BranchAvoidingLevel<TALLY> {
-    fn instrumented(&self) -> bool {
-        TALLY
-    }
+impl PhaseHooks for BranchAvoidingLevel {}
 
-    fn top_down_chunk(
+impl<G: AdjacencySource> LevelKernel<G> for BranchAvoidingLevel {
+    fn top_down_chunk<const TALLY: bool>(
         &self,
         ctx: &LevelCtx<'_, G>,
         frontier: &[VertexId],
@@ -219,37 +205,27 @@ impl<G: AdjacencySource, const TALLY: bool> LevelKernel<G> for BranchAvoidingLev
         buffer.truncate(len);
         buffer
     }
-
-    fn bottom_up_chunk(
-        &self,
-        ctx: &LevelCtx<'_, G>,
-        in_frontier: &Bitmap,
-        range: Range<usize>,
-        tally: &mut ThreadTally,
-    ) -> Vec<VertexId> {
-        bottom_up_claim::<G, TALLY>(ctx, in_frontier, range, tally)
-    }
 }
 
-/// The adaptive BFS kernel behind [`Variant::Auto`]: samples early levels
-/// branch-based with tallies, then hot-switches to the advisor's pick.
-#[allow(clippy::type_complexity)]
-pub(crate) fn auto_level(
-    tally_always: bool,
-) -> AutoSwitch<
-    BranchBasedLevel<true>,
-    BranchBasedLevel<false>,
-    BranchAvoidingLevel<true>,
-    BranchAvoidingLevel<false>,
-> {
-    AutoSwitch::new(
-        BranchBasedLevel::<true>,
-        BranchBasedLevel::<false>,
-        BranchAvoidingLevel::<true>,
-        BranchAvoidingLevel::<false>,
-        AdvisorConfig::default(),
-        tally_always,
-    )
+/// Runs `variant`'s level kernel on `level_loop`; BFS and unit-weight
+/// SSSP share it. [`Variant::Auto`] samples early levels branch-based,
+/// then hot-switches to the advisor's pick.
+pub(crate) fn traverse<G: AdjacencySource, E: Execute, S: TraceSink>(
+    level_loop: &LevelLoop<'_, G, E>,
+    state: &TraversalState,
+    root: VertexId,
+    variant: Variant,
+    sink: &S,
+    cancel: Option<&CancelToken>,
+) -> (LevelRun, RunOutcome) {
+    match variant {
+        Variant::BranchAvoiding => level_loop.run(state, root, &BranchAvoidingLevel, sink, cancel),
+        Variant::BranchBased => level_loop.run(state, root, &BranchBasedLevel, sink, cancel),
+        Variant::Auto => {
+            let auto = AutoSwitch::new(BranchBasedLevel, BranchAvoidingLevel);
+            level_loop.run(state, root, &auto, sink, cancel)
+        }
+    }
 }
 
 /// The one driver behind [`crate::request::run_bfs`] and its
@@ -276,27 +252,16 @@ pub(crate) fn run_request<G: AdjacencySource, S: TraceSink, X: ExecutorAxis>(
         root: Some(root),
         footprint: Some(run_footprint(graph.footprint())),
     });
-    // The direction schedule the strategy pins: always top-down for the
-    // plain disciplines, the configured thresholds otherwise.
-    let directions = match strategy {
-        BfsStrategy::Plain(_) => DirectionConfig::always_top_down(),
-        BfsStrategy::DirectionOptimizing(config) => config,
+    // The direction schedule and discipline the strategy pins: always
+    // top-down for the plain disciplines; the configured thresholds and
+    // the branch-avoiding kernel when direction-optimizing.
+    let (directions, variant) = match strategy {
+        BfsStrategy::Plain(variant) => (DirectionConfig::always_top_down(), variant),
+        BfsStrategy::DirectionOptimizing(config) => (config, Variant::BranchAvoiding),
     };
-    let level_loop = LevelLoop::new(graph, scope.exec(), scope.grain, directions);
+    let level_loop = LevelLoop::new(graph, scope.exec(), scope.grain, scope.tally, directions);
     let (sink, cancel) = (scope.sink(), scope.cancel);
-    let traverse = |state: &TraversalState| match (strategy, scope.tally) {
-        (BfsStrategy::Plain(Variant::BranchBased), false) => {
-            level_loop.run(state, root, &BranchBasedLevel::<false>, sink, cancel)
-        }
-        (BfsStrategy::Plain(Variant::BranchBased), true) => {
-            level_loop.run(state, root, &BranchBasedLevel::<true>, sink, cancel)
-        }
-        (BfsStrategy::Plain(Variant::Auto), tally) => {
-            level_loop.run(state, root, &auto_level(tally), sink, cancel)
-        }
-        (_, false) => level_loop.run(state, root, &BranchAvoidingLevel::<false>, sink, cancel),
-        (_, true) => level_loop.run(state, root, &BranchAvoidingLevel::<true>, sink, cancel),
-    };
+    let run_in = |state: &TraversalState| traverse(&level_loop, state, root, variant, sink, cancel);
     let ((run, outcome), distances) = match reuse {
         Some(state) => {
             assert_eq!(
@@ -305,13 +270,13 @@ pub(crate) fn run_request<G: AdjacencySource, S: TraceSink, X: ExecutorAxis>(
                 "traversal state sized for a different graph"
             );
             state.reset();
-            let done = traverse(state);
+            let done = run_in(state);
             let distances = state.distances().iter().map(|d| d.load(Relaxed)).collect();
             (done, distances)
         }
         None => {
             let state = TraversalState::new(graph.num_vertices());
-            (traverse(&state), state.into_distances())
+            (run_in(&state), state.into_distances())
         }
     };
     scope.close(&outcome);

@@ -12,24 +12,34 @@
 //!   level-synchronous traversal: atomic distances, plus optional atomic
 //!   shortest-path counts (σ) for Brandes betweenness centrality.
 //! * [`LevelLoop`] — the level-synchronous driver. It owns queue↔bitmap
-//!   frontier flipping, direction switching via
-//!   [`DirectionConfig`], per-level [`ThreadTally`] merging into
-//!   [`bga_kernels::stats::StepCounters`], and chunk dispatch over the
-//!   [`Execute`] seam. Kernels implement [`LevelKernel`]; the loop hands
-//!   them edge-balanced chunks and concatenates their discoveries in
-//!   chunk order, which is what keeps distances deterministic.
+//!   frontier flipping, direction switching via [`DirectionConfig`] and
+//!   chunk dispatch over the [`Execute`] seam. Kernels implement
+//!   [`LevelKernel`]; the loop hands them edge-balanced chunks and
+//!   concatenates their discoveries in chunk order, which is what keeps
+//!   distances deterministic.
 //! * [`BucketLoop`] — the bucket-synchronous driver for weighted
 //!   delta-stepping: bucket-indexed frontiers of `(vertex, distance)`
 //!   snapshots, light phases re-relaxed until the bucket drains, one
-//!   deferred heavy pass per settled bucket, chunk dispatch over the
-//!   [`Execute`] seam and per-phase tally merging. Kernels implement
+//!   deferred heavy pass per settled bucket. Kernels implement
 //!   [`BucketKernel`] (the per-edge relaxation discipline for one
 //!   [`EdgeClass`]); the loop owns filing discoveries into buckets,
 //!   stale/duplicate elimination and the deterministic settled-bucket
 //!   bounds.
 //! * [`SweepLoop`] — the fixpoint driver for label-propagation kernels
 //!   (Shiloach-Vishkin): run edge-balanced sweeps over the whole vertex
-//!   range until no chunk reports a change, merging tallies per sweep.
+//!   range until no chunk reports a change.
+//!
+//! Every phase of every loop (and of the k-core peel) runs through one
+//! phase step: fan the chunks out, each with a fresh [`ThreadTally`];
+//! merge the tallies into a [`StepCounters`] when the phase is tallied or
+//! traced; record the step, emit the [`TraceEvent::Phase`] event, and
+//! call the kernel's [`PhaseHooks::phase_complete`]. The loop decides
+//! once per phase whether it tallies: when the run is instrumented or
+//! traced, or while the kernel asks for it
+//! ([`PhaseHooks::instrumented`], an adaptive kernel still sampling).
+//! Chunk methods take that decision as a `const TALLY: bool` *method*
+//! parameter, so every per-edge body is compiled once with its counter
+//! accounting and once without, and no kernel type carries a tally axis.
 //!
 //! Chunking policy: top-down levels balance on the *frontier's* degree
 //! prefix sums ([`frontier_degree_prefix`]); bottom-up levels balance on
@@ -67,7 +77,7 @@ use std::time::Instant;
 
 /// Renders a kernel's [`SwitchNotice`] as the `decision` trace event,
 /// anchored to the phase whose tallies completed the advisor's sample.
-pub(crate) fn decision_event(phase: usize, notice: &SwitchNotice) -> TraceEvent {
+fn decision_event(phase: usize, notice: &SwitchNotice) -> TraceEvent {
     TraceEvent::Decision(DecisionEvent {
         phase,
         variant: notice.choice.as_str().to_string(),
@@ -76,6 +86,175 @@ pub(crate) fn decision_event(phase: usize, notice: &SwitchNotice) -> TraceEvent 
         edges: notice.edges,
         updates: notice.updates,
         mispredictions: notice.mispredictions,
+    })
+}
+
+/// The phase-boundary side every engine kernel shares: whether the next
+/// phase must tally, and what happens once it has run.
+pub trait PhaseHooks: Sync {
+    /// Whether the next phase must tally even on a run that is neither
+    /// instrumented nor traced. The loop tallies a phase when the run asks
+    /// for counters, when a trace needs them, or when this returns `true`:
+    /// an adaptive kernel ([`crate::auto::AutoSwitch`]) does so while it
+    /// samples. Static kernels keep the default `false`.
+    fn instrumented(&self) -> bool {
+        false
+    }
+
+    /// Phase-boundary hook, called by the loop after every phase with its
+    /// merged step (when one was computed). Adaptive kernels feed their
+    /// advisor here and may hot-switch discipline for the following
+    /// phases; the returned [`SwitchNotice`] becomes the run's `decision`
+    /// trace event. Static kernels keep the default no-op.
+    fn phase_complete(&self, step: Option<&StepCounters>) -> Option<SwitchNotice> {
+        let _ = step;
+        None
+    }
+}
+
+/// Builds the `(untallied, tallied)` pair of chunk bodies
+/// [`Phases::step`] picks from: `$body` is compiled twice, with `$tally`
+/// bound to a `const bool` that is `false` in the first and `true` in the
+/// second.
+macro_rules! chunk_bodies {
+    (|$range:ident, $counts:ident| $tally:ident => $body:expr) => {
+        (
+            |$range: ::std::ops::Range<usize>, $counts: &mut $crate::counters::ThreadTally| {
+                const $tally: bool = false;
+                $body
+            },
+            |$range: ::std::ops::Range<usize>, $counts: &mut $crate::counters::ThreadTally| {
+                const $tally: bool = true;
+                $body
+            },
+        )
+    };
+}
+pub(crate) use chunk_bodies;
+
+/// What one phase reports beyond its counters and wall clock: the
+/// `(kind, bucket, frontier, discovered, changed)` fields of its
+/// [`PhaseEvent`].
+pub(crate) type PhaseShape = (PhaseKind, Option<usize>, usize, usize, Option<bool>);
+
+/// The per-run side of every engine phase: the executor chunks fan out
+/// on, the run's tally flag, the sink and cancel token, the run-wide
+/// phase count and the merged steps of the tallied phases. Every loop
+/// runs its phases through [`Phases::step`].
+pub(crate) struct Phases<'r, E, S> {
+    exec: &'r E,
+    /// The run is instrumented or traced: every phase tallies.
+    tally: bool,
+    sink: &'r S,
+    cancel: Option<&'r CancelToken>,
+    /// Run-wide index of the next phase (and the count of phases done).
+    next: usize,
+    /// Merged counters of the tallied phases, in phase order.
+    steps: Vec<StepCounters>,
+}
+
+impl<'r, E: Execute, S: TraceSink> Phases<'r, E, S> {
+    /// Starts a run's phases at index `first` (non-zero when a driver
+    /// runs several loops in one run, as Brandes does per source).
+    pub(crate) fn new(
+        exec: &'r E,
+        tally: bool,
+        sink: &'r S,
+        cancel: Option<&'r CancelToken>,
+        first: usize,
+    ) -> Self {
+        Phases {
+            exec,
+            tally,
+            sink,
+            cancel,
+            next: first,
+            steps: Vec::new(),
+        }
+    }
+
+    /// The cancel check at a phase boundary, against the run-wide count
+    /// of completed phases.
+    pub(crate) fn stop(&self) -> Option<RunOutcome> {
+        cancel::check(self.cancel, self.next)
+    }
+
+    /// Runs one phase: fans `ranges` out over the executor, each chunk on
+    /// a fresh [`ThreadTally`] and on the tallied body of `bodies` when
+    /// the run tallies or `kernel` asks for it; merges and records the
+    /// step of a tallied phase; emits the phase event (shaped by `shape`
+    /// from the chunk results and the merged step) and then the kernel's
+    /// decision, if it made one. Returns the chunk results in chunk order.
+    pub(crate) fn step<K, R, U, T>(
+        &mut self,
+        kernel: &K,
+        ranges: Vec<Range<usize>>,
+        (untallied, tallied): (U, T),
+        shape: impl FnOnce(&[R], &StepCounters) -> PhaseShape,
+    ) -> Vec<R>
+    where
+        K: PhaseHooks + ?Sized,
+        R: Send,
+        U: Fn(Range<usize>, &mut ThreadTally) -> R + Sync,
+        T: Fn(Range<usize>, &mut ThreadTally) -> R + Sync,
+    {
+        let started = S::ENABLED.then(Instant::now);
+        let tally = self.tally || kernel.instrumented();
+        let outcomes = if tally {
+            fan_out(self.exec, ranges, tallied)
+        } else {
+            fan_out(self.exec, ranges, untallied)
+        };
+        let index = self.next;
+        self.next += 1;
+        // The merged step feeds both the counter series and the trace
+        // event; it is skipped entirely when neither consumer is present
+        // (the hot untraced-untallied path).
+        let merged = (tally || S::ENABLED)
+            .then(|| merge_thread_steps(index, outcomes.iter().map(|(_, t)| t.into_step(index))));
+        if tally {
+            self.steps.extend(merged);
+        }
+        let results: Vec<R> = outcomes.into_iter().map(|(result, _)| result).collect();
+        if S::ENABLED {
+            let step = merged.unwrap_or_default();
+            let (kind, bucket, frontier, discovered, changed) = shape(&results, &step);
+            self.sink.emit(TraceEvent::Phase(PhaseEvent {
+                index,
+                kind,
+                bucket,
+                frontier,
+                discovered,
+                changed,
+                counters: PhaseCounters::from(&step),
+                wall_ns: started.map_or(0, |t| t.elapsed().as_nanos() as u64),
+            }));
+        }
+        // Phase boundary: adaptive kernels may switch discipline for the
+        // next phase.
+        match kernel.phase_complete(merged.as_ref()) {
+            Some(notice) if S::ENABLED => self.sink.emit(decision_event(index, &notice)),
+            _ => {}
+        }
+        results
+    }
+
+    /// The merged steps as the run's counter series.
+    pub(crate) fn counters(self) -> RunCounters {
+        collect_run(self.steps)
+    }
+}
+
+/// Runs `chunk` on every range, each with a fresh [`ThreadTally`] that is
+/// returned next to the chunk's result.
+fn fan_out<E: Execute, R: Send>(
+    exec: &E,
+    ranges: Vec<Range<usize>>,
+    chunk: impl Fn(Range<usize>, &mut ThreadTally) -> R + Sync,
+) -> Vec<(R, ThreadTally)> {
+    exec.run(ranges, |_chunk, range| {
+        let mut tally = ThreadTally::default();
+        (chunk(range, &mut tally), tally)
     })
 }
 
@@ -196,32 +375,14 @@ pub struct LevelCtx<'a, G: AdjacencySource> {
 /// trait is generic over the graph representation: kernels iterate
 /// neighbours through [`AdjacencySource::neighbor_cursor`], so one
 /// `impl<G: AdjacencySource> LevelKernel<G>` covers both the `Vec` CSR
-/// and the compressed group-varint form.
-pub trait LevelKernel<G: AdjacencySource>: Sync {
-    /// Whether [`LevelLoop::run`] should merge the per-chunk
-    /// [`ThreadTally`]s into per-level step counters. Kernels that do not
-    /// tally should leave this `false` so runs report no (rather than
-    /// all-zero) steps.
-    fn instrumented(&self) -> bool {
-        false
-    }
-
-    /// Phase-boundary hook, called by the driver after every level's tally
-    /// merge with the merged step (when one was computed). Adaptive
-    /// kernels ([`crate::auto::AutoSwitch`]) feed their advisor here and
-    /// may hot-switch discipline for the following phases; the returned
-    /// [`SwitchNotice`] becomes the run's `decision` trace event. Static
-    /// kernels keep the default no-op.
-    fn phase_complete(&self, step: Option<&StepCounters>) -> Option<SwitchNotice> {
-        let _ = step;
-        None
-    }
-
+/// and the compressed group-varint form. With `TALLY` a chunk accounts
+/// its operations into `tally`; without it the accounting compiles out.
+pub trait LevelKernel<G: AdjacencySource>: PhaseHooks {
     /// Expand the top-down chunk `frontier[range]` at
     /// [`LevelCtx::next_level`], returning the vertices this chunk
     /// discovered. `chunk_edges` is the number of adjacency slots the
     /// chunk owns (for sizing write-past-the-end buffers).
-    fn top_down_chunk(
+    fn top_down_chunk<const TALLY: bool>(
         &self,
         ctx: &LevelCtx<'_, G>,
         frontier: &[VertexId],
@@ -232,17 +393,17 @@ pub trait LevelKernel<G: AdjacencySource>: Sync {
 
     /// Claim the bottom-up vertex chunk `range`: every still-unvisited
     /// vertex scans its neighbours for a parent in `in_frontier`. The
-    /// default is the plain (untallied) BFS claim; kernels whose state
+    /// default is the BFS claim, [`bottom_up_claim`]; kernels whose state
     /// goes beyond distances must override this or pin the direction to
     /// top-down via their [`DirectionConfig`].
-    fn bottom_up_chunk(
+    fn bottom_up_chunk<const TALLY: bool>(
         &self,
         ctx: &LevelCtx<'_, G>,
         in_frontier: &Bitmap,
         range: Range<usize>,
         tally: &mut ThreadTally,
     ) -> Vec<VertexId> {
-        bottom_up_claim::<G, false>(ctx, in_frontier, range, tally)
+        bottom_up_claim::<G, TALLY>(ctx, in_frontier, range, tally)
     }
 }
 
@@ -452,42 +613,64 @@ pub struct LevelRun {
     /// Direction of each expansion step (one per level whose frontier
     /// was non-empty, starting with the root's own expansion).
     pub directions: Vec<Direction>,
-    /// Per-level counters merged across chunks — empty unless the kernel
-    /// reported itself [`LevelKernel::instrumented`].
+    /// Per-level counters merged across chunks: every level of an
+    /// instrumented or traced run, the levels an adaptive kernel sampled,
+    /// nothing otherwise.
     pub counters: RunCounters,
 }
 
 /// The level-synchronous driver: owns frontier flipping between the queue
 /// (top-down) and bitmap (bottom-up) representations, direction switching
-/// via [`DirectionConfig`], chunk dispatch over [`Execute`], and per-level
-/// tally merging. Kernels only see one chunk at a time.
+/// via [`DirectionConfig`] and chunk dispatch over [`Execute`]. Kernels
+/// only see one chunk at a time.
 pub struct LevelLoop<'a, G: AdjacencySource, E: Execute> {
     graph: &'a G,
     exec: &'a E,
     grain: usize,
+    tally: bool,
     config: DirectionConfig,
+    first_phase: usize,
 }
 
 impl<'a, G: AdjacencySource, E: Execute> LevelLoop<'a, G, E> {
     /// A level loop over `graph` on `exec`, fanning a level out only when
-    /// it carries at least `grain` weight units, switching directions per
-    /// `config` (use [`DirectionConfig::always_top_down`] for classic
-    /// top-down traversals).
-    pub fn new(graph: &'a G, exec: &'a E, grain: usize, config: DirectionConfig) -> Self {
+    /// it carries at least `grain` weight units, tallying every level when
+    /// `tally` is set (an instrumented or traced run), switching
+    /// directions per `config` (use [`DirectionConfig::always_top_down`]
+    /// for classic top-down traversals).
+    pub fn new(
+        graph: &'a G,
+        exec: &'a E,
+        grain: usize,
+        tally: bool,
+        config: DirectionConfig,
+    ) -> Self {
         LevelLoop {
             graph,
             exec,
             grain,
+            tally,
             config,
+            first_phase: 0,
+        }
+    }
+
+    /// This loop with its phases numbered from `first`: a driver that runs
+    /// one traversal per source (Brandes) keeps the run's phase indices,
+    /// and the cancel token's phase budget, counting across sources.
+    pub(crate) fn starting_at(&self, first: usize) -> Self {
+        LevelLoop {
+            first_phase: first,
+            ..*self
         }
     }
 
     /// Runs the traversal from `root`. The caller provides the state
     /// (already reset); the loop initialises the root, expands level by
     /// level until the frontier empties, and reports order, level
-    /// boundaries, directions and (for instrumented kernels) merged
-    /// counters. A root outside the vertex range yields an empty run, as
-    /// in the sequential kernels.
+    /// boundaries, directions and the merged counters of the tallied
+    /// levels. A root outside the vertex range yields an empty run, as in
+    /// the sequential kernels.
     ///
     /// Distances are deterministic for every executor and grain: within a
     /// level every contender writes the same value, and the switching
@@ -496,7 +679,7 @@ impl<'a, G: AdjacencySource, E: Execute> LevelLoop<'a, G, E> {
     /// `sink` observes the traversal: one [`TraceEvent::Phase`] per
     /// expansion, carrying the direction the level ran in, the frontier
     /// size it expanded, how many vertices it discovered, the merged step
-    /// counters (all-zero for untallied kernels) and the wall-clock time
+    /// counters (all-zero for untallied levels) and the wall-clock time
     /// of the expansion. Every emission site is guarded by the sink's
     /// [`TraceSink::ENABLED`] constant, so with a [`bga_obs::NoopSink`]
     /// the seam compiles out and the results are bit-identical.
@@ -528,6 +711,7 @@ impl<'a, G: AdjacencySource, E: Execute> LevelLoop<'a, G, E> {
             return (run, RunOutcome::Completed);
         }
         state.init_root(root);
+        let mut phases = Phases::new(self.exec, self.tally, sink, cancel, self.first_phase);
         let mut frontier = vec![root];
         let mut order = vec![root];
         // (`once(..).collect()` rather than `vec![0..1]`, which clippy
@@ -536,7 +720,6 @@ impl<'a, G: AdjacencySource, E: Execute> LevelLoop<'a, G, E> {
         let mut next_level = 0u32;
         let mut bottom_up = false;
         let mut directions = Vec::new();
-        let mut steps = Vec::new();
         // One bitmap allocation reused (cleared) across bottom-up levels.
         let mut in_frontier = Bitmap::new(n);
         let mut outcome = RunOutcome::Completed;
@@ -545,7 +728,7 @@ impl<'a, G: AdjacencySource, E: Execute> LevelLoop<'a, G, E> {
             // Level boundary: every completed level's distance writes are
             // fully published, so stopping here leaves the state a valid
             // set of monotone upper bounds.
-            if let Some(stop) = cancel::check(cancel, directions.len()) {
+            if let Some(stop) = phases.stop() {
                 outcome = stop;
                 break;
             }
@@ -555,21 +738,25 @@ impl<'a, G: AdjacencySource, E: Execute> LevelLoop<'a, G, E> {
             } else if bottom_up && frontier_fraction < self.config.to_top_down {
                 bottom_up = false;
             }
-            directions.push(if bottom_up {
-                Direction::BottomUp
+            let (direction, kind) = if bottom_up {
+                (Direction::BottomUp, PhaseKind::BottomUp)
             } else {
-                Direction::TopDown
-            });
+                (Direction::TopDown, PhaseKind::TopDown)
+            };
+            directions.push(direction);
 
             next_level += 1;
-            let phase_started = S::ENABLED.then(Instant::now);
-            let frontier_size = frontier.len();
-            let ctx = LevelCtx {
+            let ctx = &LevelCtx {
                 graph: self.graph,
                 state,
                 next_level,
             };
-            let outcomes: Vec<(Vec<VertexId>, ThreadTally)> = if bottom_up {
+            let expanded = frontier.len();
+            let shape = |found: &[Vec<VertexId>], _: &StepCounters| {
+                let discovered = found.iter().map(Vec::len).sum();
+                (kind, None, expanded, discovered, None)
+            };
+            let found = if bottom_up {
                 // Flip the queue frontier into the shared bitmap, then let
                 // every chunk of still-unvisited vertices pull from it.
                 in_frontier.clear();
@@ -586,79 +773,35 @@ impl<'a, G: AdjacencySource, E: Execute> LevelLoop<'a, G, E> {
                 let chunks =
                     effective_chunks_with_grain(*prefix.last().unwrap_or(&0), threads, self.grain);
                 let ranges = balanced_prefix_ranges(&prefix, chunks);
-                let (ctx, bitmap) = (&ctx, &in_frontier);
-                self.exec.run(ranges, move |_chunk, range| {
-                    let mut tally = ThreadTally::default();
-                    let found = kernel.bottom_up_chunk(ctx, bitmap, range, &mut tally);
-                    (found, tally)
-                })
+                let bitmap = &in_frontier;
+                let bodies = chunk_bodies!(|range, tally| TALLY => {
+                    kernel.bottom_up_chunk::<TALLY>(ctx, bitmap, range, tally)
+                });
+                phases.step(kernel, ranges, bodies, shape)
             } else {
-                let prefix = frontier_degree_prefix(self.graph, &frontier);
+                let prefix = &frontier_degree_prefix(self.graph, &frontier);
                 let chunks =
                     effective_chunks_with_grain(*prefix.last().unwrap_or(&0), threads, self.grain);
-                let ranges = balanced_prefix_ranges(&prefix, chunks);
-                let (ctx, prefix_ref, frontier_ref) = (&ctx, &prefix, &frontier);
-                self.exec.run(ranges, move |_chunk, range| {
-                    let mut tally = ThreadTally::default();
-                    let chunk_edges = prefix_ref[range.end] - prefix_ref[range.start];
-                    let found =
-                        kernel.top_down_chunk(ctx, frontier_ref, range, chunk_edges, &mut tally);
-                    (found, tally)
-                })
+                let ranges = balanced_prefix_ranges(prefix, chunks);
+                let queue = &frontier;
+                let bodies = chunk_bodies!(|range, tally| TALLY => {
+                    let chunk_edges = prefix[range.end] - prefix[range.start];
+                    kernel.top_down_chunk::<TALLY>(ctx, queue, range, chunk_edges, tally)
+                });
+                phases.step(kernel, ranges, bodies, shape)
             };
-
-            // The merged step feeds both the instrumented counter series
-            // and the trace event; it is skipped entirely when neither
-            // consumer is present (the hot untraced-untallied path).
-            let merged = if kernel.instrumented() || S::ENABLED {
-                let level_index = directions.len() - 1;
-                Some(merge_thread_steps(
-                    level_index,
-                    outcomes.iter().map(|(_, t)| t.into_step(level_index)),
-                ))
-            } else {
-                None
-            };
-            if kernel.instrumented() {
-                steps.push(merged.unwrap());
-            }
             let start = order.len();
-            frontier = outcomes.into_iter().flat_map(|(found, _)| found).collect();
+            frontier = found.into_iter().flatten().collect();
             order.extend_from_slice(&frontier);
             if !frontier.is_empty() {
                 level_bounds.push(start..order.len());
-            }
-            if S::ENABLED {
-                let step = merged.unwrap_or_default();
-                sink.emit(TraceEvent::Phase(PhaseEvent {
-                    index: directions.len() - 1,
-                    kind: if bottom_up {
-                        PhaseKind::BottomUp
-                    } else {
-                        PhaseKind::TopDown
-                    },
-                    bucket: None,
-                    frontier: frontier_size,
-                    discovered: frontier.len(),
-                    changed: None,
-                    counters: PhaseCounters::from(&step),
-                    wall_ns: phase_started.map_or(0, |t| t.elapsed().as_nanos() as u64),
-                }));
-            }
-            // Phase boundary: let adaptive kernels consult their advisor
-            // (and possibly hot-switch discipline for the next level).
-            match kernel.phase_complete(merged.as_ref()) {
-                Some(notice) if S::ENABLED => {
-                    sink.emit(decision_event(directions.len() - 1, &notice));
-                }
-                _ => {}
             }
         }
         let run = LevelRun {
             order,
             level_bounds,
             directions,
-            counters: collect_run(steps),
+            counters: phases.counters(),
         };
         (run, outcome)
     }
@@ -693,22 +836,9 @@ pub struct BucketCtx<'a, W: WeightedAdjacencySource> {
 /// (unconditional `fetch_min` with a predicated enqueue vs test-and-CAS);
 /// [`BucketLoop`] supplies everything around it: batch formation with
 /// stale/duplicate elimination, frontier snapshots, chunk dispatch, filing
-/// discoveries into buckets and settled-order bookkeeping.
-pub trait BucketKernel<W: WeightedAdjacencySource>: Sync {
-    /// Whether [`BucketLoop::run`] should merge the per-chunk
-    /// [`ThreadTally`]s into per-phase step counters.
-    fn instrumented(&self) -> bool {
-        false
-    }
-
-    /// Phase-boundary hook, called by the driver after every pass's tally
-    /// merge (see [`LevelKernel::phase_complete`]). The mode an adaptive
-    /// kernel flips here takes effect from the next dispatched pass.
-    fn phase_complete(&self, step: Option<&StepCounters>) -> Option<SwitchNotice> {
-        let _ = step;
-        None
-    }
-
+/// discoveries into buckets and settled-order bookkeeping. With `TALLY`
+/// a chunk accounts its operations into `tally`.
+pub trait BucketKernel<W: WeightedAdjacencySource>: PhaseHooks {
     /// Relax the `class` edges of `frontier[range]`, returning every
     /// vertex whose distance this chunk improved (the loop re-reads the
     /// improved distances between passes and files each discovery into its
@@ -718,7 +848,7 @@ pub trait BucketKernel<W: WeightedAdjacencySource>: Sync {
     /// its frontier and the phase structure stays identical across thread
     /// counts. `chunk_edges` is the number of adjacency slots the chunk
     /// owns (for sizing write-past-the-end buffers).
-    fn relax_chunk(
+    fn relax_chunk<const TALLY: bool>(
         &self,
         ctx: &BucketCtx<'_, W>,
         frontier: &[(VertexId, u32)],
@@ -747,17 +877,17 @@ pub struct BucketRun {
     pub phases: usize,
     /// How many of [`BucketRun::phases`] were heavy passes.
     pub heavy_phases: usize,
-    /// Per-phase counters merged across chunks — empty unless the kernel
-    /// reported itself [`BucketKernel::instrumented`].
+    /// Per-phase counters merged across chunks, for the tallied passes
+    /// (as [`LevelRun::counters`]).
     pub counters: RunCounters,
 }
 
 /// The bucket-synchronous driver for weighted delta-stepping: owns the
 /// bucket-indexed pending queues, batch formation (stale and duplicate
 /// copies eliminated, frontier sorted), light-phase re-relaxation until
-/// the bucket drains, the deferred heavy pass per settled bucket, chunk
-/// dispatch over [`Execute`] and per-phase tally merging. Kernels only
-/// see one chunk of one `(frontier, edge class)` pass at a time.
+/// the bucket drains, the deferred heavy pass per settled bucket and
+/// chunk dispatch over [`Execute`]. Kernels only see one chunk of one
+/// `(frontier, edge class)` pass at a time.
 ///
 /// Determinism: a phase's relaxations are a pure function of its frontier
 /// snapshot, so the set of vertices improved per phase — and with it every
@@ -769,18 +899,20 @@ pub struct BucketLoop<'a, W: WeightedAdjacencySource, E: Execute> {
     graph: &'a W,
     exec: &'a E,
     grain: usize,
+    tally: bool,
     delta: u32,
 }
 
 impl<'a, W: WeightedAdjacencySource, E: Execute> BucketLoop<'a, W, E> {
     /// A bucket loop over `graph` on `exec` with bucket width `delta`
     /// (clamped to ≥ 1), fanning a pass out only when it carries at least
-    /// `grain` weight units.
-    pub fn new(graph: &'a W, exec: &'a E, grain: usize, delta: u32) -> Self {
+    /// `grain` weight units and tallying every pass when `tally` is set.
+    pub fn new(graph: &'a W, exec: &'a E, grain: usize, tally: bool, delta: u32) -> Self {
         BucketLoop {
             graph,
             exec,
             grain,
+            tally,
             delta: delta.max(1),
         }
     }
@@ -872,11 +1004,10 @@ impl<'a, W: WeightedAdjacencySource, E: Execute> BucketLoop<'a, W, E> {
         let mut expanded_at = vec![INFINITY; n];
         // Whether the vertex has already been recorded in the settle order.
         let mut settled = vec![false; n];
-        let mut steps = Vec::new();
-        // Dispatched passes, counted separately from `run.phases`: a
+        // Counts dispatched passes, apart from `run.phases`: a
         // non-improving heavy pass emits a trace event but is not a
         // relaxation phase.
-        let mut dispatches = 0usize;
+        let mut phases = Phases::new(self.exec, self.tally, sink, cancel, 0);
         let ctx = BucketCtx {
             graph: self.graph,
             state,
@@ -893,7 +1024,7 @@ impl<'a, W: WeightedAdjacencySource, E: Execute> BucketLoop<'a, W, E> {
                 // A bucket cut mid-drain is not settled, so its vertices
                 // are dropped from the reported order (their distances may
                 // still improve); the distance state itself stays valid.
-                if let Some(stop) = cancel::check(cancel, dispatches) {
+                if let Some(stop) = phases.stop() {
                     outcome = stop;
                     run.order.truncate(bucket_start);
                     break 'buckets;
@@ -932,15 +1063,13 @@ impl<'a, W: WeightedAdjacencySource, E: Execute> BucketLoop<'a, W, E> {
                         run.order.push(v);
                     }
                 }
-                let found = self.dispatch(
+                let found = self.pass(
+                    &mut phases,
                     kernel,
                     &ctx,
                     &frontier,
                     EdgeClass::Light,
-                    &mut steps,
-                    sink,
                     index,
-                    &mut dispatches,
                 );
                 run.phases += 1;
                 file_discoveries(&found, distances, delta, &mut buckets);
@@ -952,15 +1081,13 @@ impl<'a, W: WeightedAdjacencySource, E: Execute> BucketLoop<'a, W, E> {
                     .iter()
                     .map(|&v| (v, distances[v as usize].load(Relaxed)))
                     .collect();
-                let found = self.dispatch(
+                let found = self.pass(
+                    &mut phases,
                     kernel,
                     &ctx,
                     &frontier,
                     EdgeClass::Heavy,
-                    &mut steps,
-                    sink,
                     index,
-                    &mut dispatches,
                 );
                 // A heavy pass that improved nothing is bookkeeping, not a
                 // relaxation phase (discovery emptiness is deterministic
@@ -980,25 +1107,20 @@ impl<'a, W: WeightedAdjacencySource, E: Execute> BucketLoop<'a, W, E> {
             // settled), so the next `first_key_value` advances
             // monotonically.
         }
-        run.counters = collect_run(steps);
+        run.counters = phases.counters();
         (run, outcome)
     }
 
-    /// Fans one `(frontier, edge class)` pass out over the executor,
-    /// merging per-chunk tallies into one step when instrumented and
-    /// emitting one trace event per pass when the sink is enabled.
-    /// Returns the per-chunk discovery lists in chunk order.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch<K: BucketKernel<W>, S: TraceSink>(
+    /// Runs one `(frontier, edge class)` pass of bucket `bucket` as a
+    /// phase. Returns the per-chunk discovery lists in chunk order.
+    fn pass<K: BucketKernel<W>, S: TraceSink>(
         &self,
+        phases: &mut Phases<'_, E, S>,
         kernel: &K,
         ctx: &BucketCtx<'_, W>,
         frontier: &[(VertexId, u32)],
         class: EdgeClass,
-        steps: &mut Vec<bga_kernels::stats::StepCounters>,
-        sink: &S,
         bucket: usize,
-        dispatches: &mut usize,
     ) -> Vec<Vec<VertexId>> {
         // Balance on the frontier's degree prefix (all edge slots — the
         // class split is per-edge work the kernel skips cheaply).
@@ -1011,31 +1133,16 @@ impl<'a, W: WeightedAdjacencySource, E: Execute> BucketLoop<'a, W, E> {
         }
         let chunks = effective_chunks_with_grain(sum, self.exec.parallelism(), self.grain);
         let ranges = balanced_prefix_ranges(&prefix, chunks);
-        let phase_started = S::ENABLED.then(Instant::now);
-        let (prefix_ref, frontier_ref) = (&prefix, frontier);
-        let outcomes: Vec<(Vec<VertexId>, ThreadTally)> =
-            self.exec.run(ranges, move |_chunk, range| {
-                let mut tally = ThreadTally::default();
-                let chunk_edges = prefix_ref[range.end] - prefix_ref[range.start];
-                let found =
-                    kernel.relax_chunk(ctx, frontier_ref, range, chunk_edges, class, &mut tally);
-                (found, tally)
-            });
-        let merged = if kernel.instrumented() || S::ENABLED {
-            let phase_index = *dispatches;
-            Some(merge_thread_steps(
-                phase_index,
-                outcomes.iter().map(|(_, t)| t.into_step(phase_index)),
-            ))
-        } else {
-            None
+        let prefix = &prefix;
+        let bodies = chunk_bodies!(|range, tally| TALLY => {
+            let chunk_edges = prefix[range.end] - prefix[range.start];
+            kernel.relax_chunk::<TALLY>(ctx, frontier, range, chunk_edges, class, tally)
+        });
+        let kind = match class {
+            EdgeClass::Light => PhaseKind::Light,
+            EdgeClass::Heavy => PhaseKind::Heavy,
         };
-        if kernel.instrumented() {
-            steps.push(merged.unwrap());
-        }
-        let found: Vec<Vec<VertexId>> = outcomes.into_iter().map(|(found, _)| found).collect();
-        if S::ENABLED {
-            let step = merged.unwrap_or_default();
+        phases.step(kernel, ranges, bodies, |found, _| {
             // Distinct improved vertices: the improved *set* is a pure
             // function of the frontier snapshot (chunks merely race for
             // duplicate claims of the same improvement), so the deduped
@@ -1043,28 +1150,8 @@ impl<'a, W: WeightedAdjacencySource, E: Execute> BucketLoop<'a, W, E> {
             let mut improved: Vec<VertexId> = found.iter().flatten().copied().collect();
             improved.sort_unstable();
             improved.dedup();
-            sink.emit(TraceEvent::Phase(PhaseEvent {
-                index: *dispatches,
-                kind: match class {
-                    EdgeClass::Light => PhaseKind::Light,
-                    EdgeClass::Heavy => PhaseKind::Heavy,
-                },
-                bucket: Some(bucket),
-                frontier: frontier.len(),
-                discovered: improved.len(),
-                changed: None,
-                counters: PhaseCounters::from(&step),
-                wall_ns: phase_started.map_or(0, |t| t.elapsed().as_nanos() as u64),
-            }));
-        }
-        // Pass boundary: adaptive kernels may switch discipline for the
-        // next dispatched pass.
-        match kernel.phase_complete(merged.as_ref()) {
-            Some(notice) if S::ENABLED => sink.emit(decision_event(*dispatches, &notice)),
-            _ => {}
-        }
-        *dispatches += 1;
-        found
+            (kind, Some(bucket), frontier.len(), improved.len(), None)
+        })
     }
 }
 
@@ -1086,22 +1173,9 @@ fn file_discoveries(
 
 /// How one kernel processes a single vertex chunk of one sweep. The
 /// kernel owns its label state (typically a borrowed `&[AtomicU32]`);
-/// [`SweepLoop`] owns the chunking and the fixpoint detection.
-pub trait SweepKernel<G: AdjacencySource>: Sync {
-    /// Whether [`SweepLoop::run`] should merge per-chunk tallies into
-    /// per-sweep step counters.
-    fn instrumented(&self) -> bool {
-        false
-    }
-
-    /// Phase-boundary hook, called by the driver after every sweep's tally
-    /// merge (see [`LevelKernel::phase_complete`]). The mode an adaptive
-    /// kernel flips here takes effect from the next sweep.
-    fn phase_complete(&self, step: Option<&StepCounters>) -> Option<SwitchNotice> {
-        let _ = step;
-        None
-    }
-
+/// [`SweepLoop`] owns the chunking and the fixpoint detection. With
+/// `TALLY` a chunk accounts its operations into `tally`.
+pub trait SweepKernel<G: AdjacencySource>: PhaseHooks {
     /// Process the vertex chunk `range` of one sweep; return whether this
     /// chunk changed anything (drives fixpoint detection).
     ///
@@ -1110,7 +1184,12 @@ pub trait SweepKernel<G: AdjacencySource>: Sync {
     /// returned. The per-vertex state of `range` is therefore written by
     /// this call alone; the Shiloach-Vishkin kernels rely on that to
     /// update labels with plain `Relaxed` stores.
-    fn sweep_chunk(&self, graph: &G, range: Range<usize>, tally: &mut ThreadTally) -> bool;
+    fn sweep_chunk<const TALLY: bool>(
+        &self,
+        graph: &G,
+        range: Range<usize>,
+        tally: &mut ThreadTally,
+    ) -> bool;
 }
 
 /// Result of a [`SweepLoop`] run.
@@ -1119,8 +1198,8 @@ pub struct SweepRun {
     /// Number of sweeps executed, including the final fixpoint-check
     /// sweep that changed nothing.
     pub sweeps: usize,
-    /// Per-sweep counters merged across chunks — empty unless the kernel
-    /// reported itself [`SweepKernel::instrumented`].
+    /// Per-sweep counters merged across chunks, for the tallied sweeps
+    /// (as [`LevelRun::counters`]).
     pub counters: RunCounters,
 }
 
@@ -1133,12 +1212,19 @@ pub struct SweepLoop<'a, G: AdjacencySource, E: Execute> {
     graph: &'a G,
     exec: &'a E,
     grain: usize,
+    tally: bool,
 }
 
 impl<'a, G: AdjacencySource, E: Execute> SweepLoop<'a, G, E> {
-    /// A sweep loop over `graph` on `exec` with the given fan-out grain.
-    pub fn new(graph: &'a G, exec: &'a E, grain: usize) -> Self {
-        SweepLoop { graph, exec, grain }
+    /// A sweep loop over `graph` on `exec` with the given fan-out grain,
+    /// tallying every sweep when `tally` is set.
+    pub fn new(graph: &'a G, exec: &'a E, grain: usize, tally: bool) -> Self {
+        SweepLoop {
+            graph,
+            exec,
+            grain,
+            tally,
+        }
     }
 
     /// Runs sweeps until the kernel reaches its fixpoint.
@@ -1182,63 +1268,30 @@ impl<'a, G: AdjacencySource, E: Execute> SweepLoop<'a, G, E> {
             Some(self.graph.num_vertices()),
             "sweep chunks must tile 0..n: {ranges:?}"
         );
-        let mut steps = Vec::new();
-        let mut sweeps = 0usize;
+        let n = self.graph.num_vertices();
+        let mut phases = Phases::new(self.exec, self.tally, sink, cancel, 0);
         let mut outcome = RunOutcome::Completed;
         loop {
             // Sweep boundary: between sweeps no label writes are in
             // flight, so stopping leaves the kernel's state consistent.
-            if let Some(stop) = cancel::check(cancel, sweeps) {
+            if let Some(stop) = phases.stop() {
                 outcome = stop;
                 break;
             }
-            sweeps += 1;
-            let phase_started = S::ENABLED.then(Instant::now);
-            let outcomes: Vec<(bool, ThreadTally)> =
-                self.exec.run(ranges.clone(), |_chunk, range| {
-                    let mut tally = ThreadTally::default();
-                    let changed = kernel.sweep_chunk(self.graph, range, &mut tally);
-                    (changed, tally)
-                });
-            let changed = outcomes.iter().any(|&(c, _)| c);
-            let merged = if kernel.instrumented() || S::ENABLED {
-                let sweep_index = sweeps - 1;
-                Some(merge_thread_steps(
-                    sweep_index,
-                    outcomes.iter().map(|(_, t)| t.into_step(sweep_index)),
-                ))
-            } else {
-                None
-            };
-            if kernel.instrumented() {
-                steps.push(merged.unwrap());
-            }
-            if S::ENABLED {
-                let step = merged.unwrap_or_default();
-                sink.emit(TraceEvent::Phase(PhaseEvent {
-                    index: sweeps - 1,
-                    kind: PhaseKind::Sweep,
-                    bucket: None,
-                    frontier: self.graph.num_vertices(),
-                    discovered: step.updates as usize,
-                    changed: Some(changed),
-                    counters: PhaseCounters::from(&step),
-                    wall_ns: phase_started.map_or(0, |t| t.elapsed().as_nanos() as u64),
-                }));
-            }
-            // Sweep boundary: adaptive kernels may switch discipline for
-            // the next sweep.
-            match kernel.phase_complete(merged.as_ref()) {
-                Some(notice) if S::ENABLED => sink.emit(decision_event(sweeps - 1, &notice)),
-                _ => {}
-            }
-            if !changed {
+            let bodies = chunk_bodies!(|range, tally| TALLY => {
+                kernel.sweep_chunk::<TALLY>(self.graph, range, tally)
+            });
+            let changed = phases.step(kernel, ranges.clone(), bodies, |changed, step| {
+                let changed = Some(changed.contains(&true));
+                (PhaseKind::Sweep, None, n, step.updates as usize, changed)
+            });
+            if !changed.contains(&true) {
                 break;
             }
         }
         let run = SweepRun {
-            sweeps,
-            counters: collect_run(steps),
+            sweeps: phases.next,
+            counters: phases.counters(),
         };
         (run, outcome)
     }
@@ -1256,8 +1309,10 @@ mod tests {
     /// seams directly without going through `bfs.rs`.
     struct ProbeKernel;
 
+    impl PhaseHooks for ProbeKernel {}
+
     impl<G: AdjacencySource> LevelKernel<G> for ProbeKernel {
-        fn top_down_chunk(
+        fn top_down_chunk<const TALLY: bool>(
             &self,
             ctx: &LevelCtx<'_, G>,
             frontier: &[VertexId],
@@ -1287,7 +1342,7 @@ mod tests {
     ) -> (Vec<u32>, LevelRun) {
         let pool = WorkerPool::new(4);
         let state = TraversalState::new(graph.num_vertices());
-        let (run, _) = LevelLoop::new(graph, &pool, 1, config).run(
+        let (run, _) = LevelLoop::new(graph, &pool, 1, false, config).run(
             &state,
             root,
             &ProbeKernel,
@@ -1389,14 +1444,14 @@ mod tests {
         let scoped = ScopedExecutor::new(3);
         let state_a = TraversalState::new(g.num_vertices());
         let state_b = TraversalState::new(g.num_vertices());
-        let (run_a, _) = LevelLoop::new(&g, &pool, 1, DirectionConfig::default()).run(
+        let (run_a, _) = LevelLoop::new(&g, &pool, 1, false, DirectionConfig::default()).run(
             &state_a,
             0,
             &ProbeKernel,
             &NoopSink,
             None,
         );
-        let (run_b, _) = LevelLoop::new(&g, &scoped, 1, DirectionConfig::default()).run(
+        let (run_b, _) = LevelLoop::new(&g, &scoped, 1, false, DirectionConfig::default()).run(
             &state_b,
             0,
             &ProbeKernel,
@@ -1588,8 +1643,10 @@ mod tests {
     /// bucket-loop seams directly without going through `sssp.rs`.
     struct ProbeRelax;
 
+    impl PhaseHooks for ProbeRelax {}
+
     impl<W: WeightedAdjacencySource> BucketKernel<W> for ProbeRelax {
-        fn relax_chunk(
+        fn relax_chunk<const TALLY: bool>(
             &self,
             ctx: &BucketCtx<'_, W>,
             frontier: &[(VertexId, u32)],
@@ -1627,7 +1684,7 @@ mod tests {
     ) -> (Vec<u32>, BucketRun) {
         let pool = WorkerPool::new(threads);
         let state = TraversalState::new(graph.num_vertices());
-        let (run, _) = BucketLoop::new(graph, &pool, 1, delta).run(
+        let (run, _) = BucketLoop::new(graph, &pool, 1, false, delta).run(
             &state,
             source,
             &ProbeRelax,
@@ -1672,8 +1729,14 @@ mod tests {
         }
         let scoped = ScopedExecutor::new(4);
         let state = TraversalState::new(g.num_vertices());
-        let (run, _) =
-            BucketLoop::new(&g, &scoped, 1, 4).run(&state, 0, &ProbeRelax, &NoopSink, None, false);
+        let (run, _) = BucketLoop::new(&g, &scoped, 1, false, 4).run(
+            &state,
+            0,
+            &ProbeRelax,
+            &NoopSink,
+            None,
+            false,
+        );
         assert_eq!(state.into_distances(), reference.0);
         assert_eq!(run.order, reference.1.order);
         assert_eq!(run.phases, reference.1.phases);
@@ -1741,13 +1804,14 @@ mod tests {
         let pool = WorkerPool::new(2);
         let state = TraversalState::new(g.num_vertices());
         let cancel = CancelToken::new().with_phase_budget(5);
-        let (run, outcome) = LevelLoop::new(&g, &pool, 1, DirectionConfig::always_top_down()).run(
-            &state,
-            0,
-            &ProbeKernel,
-            &NoopSink,
-            Some(&cancel),
-        );
+        let (run, outcome) = LevelLoop::new(
+            &g,
+            &pool,
+            1,
+            false,
+            DirectionConfig::always_top_down(),
+        )
+        .run(&state, 0, &ProbeKernel, &NoopSink, Some(&cancel));
         assert_eq!(
             outcome,
             RunOutcome::Interrupted {
@@ -1776,7 +1840,7 @@ mod tests {
         let state = TraversalState::new(g.num_vertices());
         let cancel = CancelToken::new();
         cancel.cancel();
-        let (run, outcome) = LevelLoop::new(&g, &pool, 1, DirectionConfig::default()).run(
+        let (run, outcome) = LevelLoop::new(&g, &pool, 1, false, DirectionConfig::default()).run(
             &state,
             0,
             &ProbeKernel,
@@ -1797,7 +1861,7 @@ mod tests {
         let g = star_graph(40);
         let pool = WorkerPool::new(3);
         let state_plain = TraversalState::new(g.num_vertices());
-        let (plain, _) = LevelLoop::new(&g, &pool, 1, DirectionConfig::default()).run(
+        let (plain, _) = LevelLoop::new(&g, &pool, 1, false, DirectionConfig::default()).run(
             &state_plain,
             0,
             &ProbeKernel,
@@ -1805,7 +1869,7 @@ mod tests {
             None,
         );
         let state_cancel = TraversalState::new(g.num_vertices());
-        let (run, outcome) = LevelLoop::new(&g, &pool, 1, DirectionConfig::default()).run(
+        let (run, outcome) = LevelLoop::new(&g, &pool, 1, false, DirectionConfig::default()).run(
             &state_cancel,
             0,
             &ProbeKernel,
@@ -1826,7 +1890,7 @@ mod tests {
         // The uninterrupted reference.
         let reference = {
             let state = TraversalState::new(g.num_vertices());
-            let (run, _) = BucketLoop::new(&g, &pool, 1, 4).run(
+            let (run, _) = BucketLoop::new(&g, &pool, 1, false, 4).run(
                 &state,
                 0,
                 &ProbeRelax,
@@ -1839,7 +1903,7 @@ mod tests {
         // Cut the run after a handful of passes, then resume it.
         let state = TraversalState::new(g.num_vertices());
         let cancel = CancelToken::new().with_phase_budget(3);
-        let loop_ = BucketLoop::new(&g, &pool, 1, 4);
+        let loop_ = BucketLoop::new(&g, &pool, 1, false, 4);
         let (partial, outcome) = loop_.run(&state, 0, &ProbeRelax, &NoopSink, Some(&cancel), false);
         assert!(!outcome.is_completed());
         // The budget bounds dispatched passes; one deferred heavy pass may
@@ -1870,7 +1934,7 @@ mod tests {
             .build();
         let pool = WorkerPool::new(2);
         let state = TraversalState::new(g.num_vertices());
-        BucketLoop::new(&g, &pool, 1, 2).run(&state, 0, &ProbeRelax, &NoopSink, None, true);
+        BucketLoop::new(&g, &pool, 1, false, 2).run(&state, 0, &ProbeRelax, &NoopSink, None, true);
         assert_eq!(state.into_distances(), vec![0, 2, 4]);
     }
 
@@ -1881,8 +1945,9 @@ mod tests {
         struct Endless {
             rounds: AtomicUsize,
         }
+        impl PhaseHooks for Endless {}
         impl<G: AdjacencySource> SweepKernel<G> for Endless {
-            fn sweep_chunk(
+            fn sweep_chunk<const TALLY: bool>(
                 &self,
                 _graph: &G,
                 range: Range<usize>,
@@ -1900,7 +1965,8 @@ mod tests {
             rounds: AtomicUsize::new(0),
         };
         let cancel = CancelToken::new().with_phase_budget(4);
-        let (run, outcome) = SweepLoop::new(&g, &pool, 1).run(&kernel, &NoopSink, Some(&cancel));
+        let (run, outcome) =
+            SweepLoop::new(&g, &pool, 1, false).run(&kernel, &NoopSink, Some(&cancel));
         assert_eq!(
             outcome,
             RunOutcome::Interrupted {
@@ -1920,8 +1986,9 @@ mod tests {
         struct Settling {
             rounds: AtomicUsize,
         }
+        impl PhaseHooks for Settling {}
         impl<G: AdjacencySource> SweepKernel<G> for Settling {
-            fn sweep_chunk(
+            fn sweep_chunk<const TALLY: bool>(
                 &self,
                 _graph: &G,
                 range: Range<usize>,
@@ -1939,7 +2006,7 @@ mod tests {
         let kernel = Settling {
             rounds: AtomicUsize::new(0),
         };
-        let (run, _) = SweepLoop::new(&g, &pool, 1).run(&kernel, &NoopSink, None);
+        let (run, _) = SweepLoop::new(&g, &pool, 1, false).run(&kernel, &NoopSink, None);
         assert_eq!(run.sweeps, 3);
         assert_eq!(run.counters.num_steps(), 0, "uninstrumented: no steps");
     }

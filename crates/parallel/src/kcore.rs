@@ -28,9 +28,11 @@
 //! vertex has degree > `k` (the fixpoint) and `k` advances. The seed
 //! sweep also reports the minimum unpeeled degree, so a `k` that would
 //! peel nothing is jumped over in one step rather than swept value by
-//! value (a complete graph peels in two sweeps, not `n`). Chunking,
-//! dispatch and tally merging all run over the same [`Execute`] seam and
-//! [`balanced_prefix_ranges`] chunkers as the level loop.
+//! value (a complete graph peels in two sweeps, not `n`). Seed sweeps and
+//! cascade rounds are engine phases: they chunk with the same
+//! [`balanced_prefix_ranges`] chunkers as the level loop and run through
+//! the same phase step, which fans them out over the run's executor and
+//! tallies, traces and hands them to the adaptive variant like any other.
 //!
 //! The removal cascade at a fixed `k` is confluent — the set peeled at
 //! each `k` does not depend on the order the cascade discovers it — so
@@ -43,21 +45,19 @@
 //! the branch-avoiding kernel keeps decrementing them, the branch-based
 //! kernel skips them — but active vertices see identical degrees in both.
 
-use crate::auto::{AutoState, Lane, SwitchNotice};
-use crate::cancel::{self, CancelToken, RunOutcome};
-use crate::counters::{collect_run, merge_thread_steps, ThreadTally};
-use crate::engine::{decision_event, frontier_degree_prefix};
+use crate::auto::AutoSwitch;
+use crate::cancel::RunOutcome;
+use crate::counters::ThreadTally;
+use crate::engine::{chunk_bodies, frontier_degree_prefix, PhaseHooks, Phases};
 use crate::pool::{balanced_prefix_ranges, effective_chunks_with_grain, even_ranges, Execute};
 use crate::request::{ExecutorAxis, RunConfig, Variant};
 use crate::trace::{run_footprint, RunScope};
 use bga_graph::{AdjacencySource, VertexId};
 use bga_kernels::kcore::CoreDecomposition;
-use bga_kernels::stats::{RunCounters, StepCounters};
-use bga_obs::{PhaseCounters, PhaseEvent, PhaseKind, TraceEvent, TraceSink};
-use bga_perfmodel::advisor::AdvisorConfig;
+use bga_kernels::stats::RunCounters;
+use bga_obs::{PhaseKind, TraceEvent, TraceSink};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
-use std::time::Instant;
 
 /// Core value of a vertex that has not been peeled yet.
 const UNPEELED: u32 = u32::MAX;
@@ -82,19 +82,29 @@ pub struct ParKcoreRun {
     pub rounds: usize,
 }
 
+/// Read-only per-dispatch context handed to [`PeelControl`] chunks.
+pub(crate) struct PeelCtx<'a, G> {
+    graph: &'a G,
+    /// Remaining degree of every vertex.
+    degree: &'a [AtomicU32],
+    /// Core number of every peeled vertex, `UNPEELED` otherwise.
+    core: &'a [AtomicU32],
+    /// The core value being peeled.
+    k: u32,
+}
+
 /// Seed sweep chunk: collect every still-unpeeled vertex in `range` whose
 /// degree has fallen to ≤ `k`, with a branch-free predicated collect
 /// (unconditional slot write, arithmetic length advance). Also reports
 /// the minimum unpeeled degree in the range (`u32::MAX` when none), which
 /// lets the driver jump `k` over empty peel rounds instead of sweeping
 /// every intermediate value.
-fn seed_chunk<const TALLY: bool>(
-    degree: &[AtomicU32],
-    core: &[AtomicU32],
-    k: u32,
+fn seed_chunk<G, const TALLY: bool>(
+    ctx: &PeelCtx<'_, G>,
     range: Range<usize>,
     tally: &mut ThreadTally,
 ) -> (Vec<VertexId>, u32) {
+    let (degree, core, k) = (ctx.degree, ctx.core, ctx.k);
     let mut buffer = vec![0 as VertexId; range.len() + 1];
     let mut len = 0usize;
     let mut min_degree = u32::MAX;
@@ -122,17 +132,14 @@ fn seed_chunk<const TALLY: bool>(
 /// the branch-free `(prev == k + 1)` length advance. Exactly one decrement
 /// per vertex observes the crossing, so the concatenated discoveries are
 /// duplicate-free.
-#[allow(clippy::too_many_arguments)]
 fn cascade_chunk_avoiding<G: AdjacencySource, const TALLY: bool>(
-    graph: &G,
-    degree: &[AtomicU32],
-    core: &[AtomicU32],
-    k: u32,
+    ctx: &PeelCtx<'_, G>,
     frontier: &[VertexId],
     range: Range<usize>,
     chunk_edges: usize,
     tally: &mut ThreadTally,
 ) -> Vec<VertexId> {
+    let (graph, degree, core, k) = (ctx.graph, ctx.degree, ctx.core, ctx.k);
     // One slot per potential crossing plus the overflow slot the
     // unconditional write of a non-crossing lands in.
     let mut buffer = vec![0 as VertexId; chunk_edges.min(graph.num_vertices()) + 1];
@@ -173,14 +180,12 @@ fn cascade_chunk_avoiding<G: AdjacencySource, const TALLY: bool>(
 /// every edge test the neighbour's degree before claiming the decrement
 /// with a CAS loop; the winner of the `k + 1 → k` transition enqueues.
 fn cascade_chunk_based<G: AdjacencySource, const TALLY: bool>(
-    graph: &G,
-    degree: &[AtomicU32],
-    core: &[AtomicU32],
-    k: u32,
+    ctx: &PeelCtx<'_, G>,
     frontier: &[VertexId],
     range: Range<usize>,
     tally: &mut ThreadTally,
 ) -> Vec<VertexId> {
+    let (graph, degree, core, k) = (ctx.graph, ctx.degree, ctx.core, ctx.k);
     let mut local = Vec::new();
     for &v in &frontier[range] {
         core[v as usize].store(k, Relaxed);
@@ -238,260 +243,122 @@ fn cascade_chunk_based<G: AdjacencySource, const TALLY: bool>(
 }
 
 /// The per-dispatch discipline [`peel_on`] runs under: the seed and
-/// cascade chunk kernels plus the phase-boundary seam [`Variant::Auto`]
-/// hot-switches through. Static disciplines monomorphize the chunk
-/// bodies; the adaptive one dispatches per chunk on its mode word.
-trait PeelControl: Sync {
-    /// Whether dispatches issued right now tally into the run's counter
-    /// series (can flip mid-run for the adaptive discipline).
-    fn instrumented(&self) -> bool;
-
+/// cascade chunk kernels, plus the phase-boundary hooks
+/// [`Variant::Auto`]'s [`AutoSwitch`] hot-switches through. With `TALLY`
+/// a chunk accounts its operations into `tally`.
+pub(crate) trait PeelControl<G: AdjacencySource>: PhaseHooks {
     /// Seed-sweep chunk over a vertex range.
-    fn seed(
+    fn seed<const TALLY: bool>(
         &self,
-        degree: &[AtomicU32],
-        core: &[AtomicU32],
-        k: u32,
+        ctx: &PeelCtx<'_, G>,
         range: Range<usize>,
         tally: &mut ThreadTally,
     ) -> (Vec<VertexId>, u32);
 
-    /// Cascade chunk over a frontier slice.
-    #[allow(clippy::too_many_arguments)]
-    fn cascade<G: AdjacencySource>(
+    /// Cascade chunk over a frontier slice; `chunk_edges` is the number
+    /// of adjacency slots the chunk owns.
+    fn cascade<const TALLY: bool>(
         &self,
-        graph: &G,
-        degree: &[AtomicU32],
-        core: &[AtomicU32],
-        k: u32,
+        ctx: &PeelCtx<'_, G>,
         frontier: &[VertexId],
         range: Range<usize>,
         chunk_edges: usize,
         tally: &mut ThreadTally,
     ) -> Vec<VertexId>;
-
-    /// Phase boundary between dispatches: the adaptive discipline may
-    /// decide and switch here.
-    fn phase_complete(&self, step: Option<&StepCounters>) -> Option<SwitchNotice> {
-        let _ = step;
-        None
-    }
 }
 
-/// A fixed peeling discipline: `AVOIDING` picks the chunk kernel, `TALLY`
-/// compiles the accounting in or out.
-struct StaticPeel<const AVOIDING: bool, const TALLY: bool>;
+/// A fixed peeling discipline: `AVOIDING` picks the cascade chunk.
+struct StaticPeel<const AVOIDING: bool>;
 
-impl<const AVOIDING: bool, const TALLY: bool> PeelControl for StaticPeel<AVOIDING, TALLY> {
-    fn instrumented(&self) -> bool {
-        TALLY
-    }
+impl<const AVOIDING: bool> PhaseHooks for StaticPeel<AVOIDING> {}
 
-    fn seed(
+impl<G: AdjacencySource, const AVOIDING: bool> PeelControl<G> for StaticPeel<AVOIDING> {
+    fn seed<const TALLY: bool>(
         &self,
-        degree: &[AtomicU32],
-        core: &[AtomicU32],
-        k: u32,
+        ctx: &PeelCtx<'_, G>,
         range: Range<usize>,
         tally: &mut ThreadTally,
     ) -> (Vec<VertexId>, u32) {
-        seed_chunk::<TALLY>(degree, core, k, range, tally)
+        // The seed sweep is variant-free: a branch-free predicated
+        // collect either way.
+        seed_chunk::<G, TALLY>(ctx, range, tally)
     }
 
-    fn cascade<G: AdjacencySource>(
+    fn cascade<const TALLY: bool>(
         &self,
-        graph: &G,
-        degree: &[AtomicU32],
-        core: &[AtomicU32],
-        k: u32,
+        ctx: &PeelCtx<'_, G>,
         frontier: &[VertexId],
         range: Range<usize>,
         chunk_edges: usize,
         tally: &mut ThreadTally,
     ) -> Vec<VertexId> {
         if AVOIDING {
-            cascade_chunk_avoiding::<G, TALLY>(
-                graph,
-                degree,
-                core,
-                k,
-                frontier,
-                range,
-                chunk_edges,
-                tally,
-            )
+            cascade_chunk_avoiding::<G, TALLY>(ctx, frontier, range, chunk_edges, tally)
         } else {
-            cascade_chunk_based::<G, TALLY>(graph, degree, core, k, frontier, range, tally)
+            cascade_chunk_based::<G, TALLY>(ctx, frontier, range, tally)
         }
     }
 }
 
-/// The adaptive peeling discipline behind [`Variant::Auto`]: samples
-/// early dispatches branch-based with tallies, then hot-switches to the
-/// advisor's pick at a dispatch boundary.
-struct AutoPeel {
-    state: AutoState,
-}
-
-fn auto_peel(tally_always: bool) -> AutoPeel {
-    AutoPeel {
-        state: AutoState::new(AdvisorConfig::default(), tally_always),
-    }
-}
-
-impl PeelControl for AutoPeel {
-    fn instrumented(&self) -> bool {
-        self.state.tallied()
-    }
-
-    fn seed(
-        &self,
-        degree: &[AtomicU32],
-        core: &[AtomicU32],
-        k: u32,
-        range: Range<usize>,
-        tally: &mut ThreadTally,
-    ) -> (Vec<VertexId>, u32) {
-        // The seed sweep is variant-free (a branch-free predicated
-        // collect either way); only the tallying differs.
-        if self.state.tallied() {
-            seed_chunk::<true>(degree, core, k, range, tally)
-        } else {
-            seed_chunk::<false>(degree, core, k, range, tally)
-        }
-    }
-
-    fn cascade<G: AdjacencySource>(
-        &self,
-        graph: &G,
-        degree: &[AtomicU32],
-        core: &[AtomicU32],
-        k: u32,
-        frontier: &[VertexId],
-        range: Range<usize>,
-        chunk_edges: usize,
-        tally: &mut ThreadTally,
-    ) -> Vec<VertexId> {
-        match self.state.lane() {
-            Lane::BasedTallied => {
-                cascade_chunk_based::<G, true>(graph, degree, core, k, frontier, range, tally)
-            }
-            Lane::BasedPlain => {
-                cascade_chunk_based::<G, false>(graph, degree, core, k, frontier, range, tally)
-            }
-            Lane::AvoidingTallied => cascade_chunk_avoiding::<G, true>(
-                graph,
-                degree,
-                core,
-                k,
-                frontier,
-                range,
-                chunk_edges,
-                tally,
-            ),
-            Lane::AvoidingPlain => cascade_chunk_avoiding::<G, false>(
-                graph,
-                degree,
-                core,
-                k,
-                frontier,
-                range,
-                chunk_edges,
-                tally,
-            ),
-        }
-    }
-
-    fn phase_complete(&self, step: Option<&StepCounters>) -> Option<SwitchNotice> {
-        self.state.on_phase(step)
-    }
-}
-
-/// The peeling driver: seed sweep + cascade rounds per `k`, over any
-/// executor. Returns core numbers, the cascade-round count and (when the
-/// control tallies) the per-dispatch counter series. A [`TraceSink`]
-/// observes the peel schedule: one [`PhaseKind::Seed`] phase per seed
-/// sweep (frontier = scan domain, discovered = seeds collected) and one
-/// [`PhaseKind::Cascade`] phase per cascade round (frontier = discovered
-/// = vertices peeled this round), each carrying the merged dispatch
-/// counters and wall clock. With a [`bga_obs::NoopSink`] the emission
-/// sites compile out entirely.
-fn peel_on<G: AdjacencySource, E: Execute, P: PeelControl, S: TraceSink>(
+/// The peeling driver: seed sweep + cascade rounds per `k`, on the run's
+/// executor. Returns core numbers, the cascade-round count and the
+/// per-dispatch counter series of the tallied dispatches. A
+/// [`TraceSink`] observes the peel schedule: one [`PhaseKind::Seed`]
+/// phase per seed sweep (frontier = scan domain, discovered = seeds
+/// collected) and one [`PhaseKind::Cascade`] phase per cascade round
+/// (frontier = discovered = vertices peeled this round), each carrying
+/// the merged dispatch counters and wall clock. With a
+/// [`bga_obs::NoopSink`] the emission sites compile out entirely.
+fn peel_on<G, P, S, X>(
     graph: &G,
-    exec: &E,
-    grain: usize,
+    scope: &RunScope<'_, S, X>,
     control: &P,
-    sink: &S,
-    cancel: Option<&CancelToken>,
-) -> (CoreDecomposition, usize, RunCounters, RunOutcome) {
+) -> (CoreDecomposition, usize, RunCounters, RunOutcome)
+where
+    G: AdjacencySource,
+    P: PeelControl<G>,
+    S: TraceSink,
+    X: ExecutorAxis,
+{
     let n = graph.num_vertices();
+    let (exec, grain) = (scope.exec(), scope.grain);
     let threads = exec.parallelism();
     let degree: Vec<AtomicU32> = (0..n)
         .map(|v| AtomicU32::new(graph.degree(v as VertexId) as u32))
         .collect();
     let core: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNPEELED)).collect();
-    let (degree_ref, core_ref) = (&degree[..], &core[..]);
+    let mut phases = Phases::new(exec, scope.tally, scope.sink(), scope.cancel, 0);
     let mut peeled = 0usize;
     let mut k = 0u32;
     let mut rounds = 0usize;
-    let mut steps = Vec::new();
-    // Dispatch ordinal for trace phase indices; equals `steps.len()` on
-    // instrumented runs (every dispatch pushes exactly one step).
-    let mut dispatches = 0usize;
     let mut outcome = RunOutcome::Completed;
     'peel: while peeled < n {
         // Cancellation seam: between peel dispatches (seed sweeps and
         // cascade rounds), so an interrupted run leaves every vertex
         // peeled so far with its final core number and everything else
         // still marked unpeeled.
-        if let Some(stop) = cancel::check(cancel, dispatches) {
+        if let Some(stop) = phases.stop() {
             outcome = stop;
             break 'peel;
         }
+        let ctx = &PeelCtx {
+            graph,
+            degree: &degree,
+            core: &core,
+            k,
+        };
         // Seed sweep for this k: every chunk scans a vertex range; the
         // fixpoint of the previous k guarantees seeds have degree == k.
-        let instr = control.instrumented();
         let seed_ranges = even_ranges(n, effective_chunks_with_grain(n, threads, grain));
-        let phase_started = S::ENABLED.then(Instant::now);
-        let outcomes: Vec<((Vec<VertexId>, u32), ThreadTally)> =
-            exec.run(seed_ranges, move |_chunk, range| {
-                let mut tally = ThreadTally::default();
-                let found = control.seed(degree_ref, core_ref, k, range, &mut tally);
-                (found, tally)
-            });
-        let merged = (instr || S::ENABLED).then(|| {
-            merge_thread_steps(
-                dispatches,
-                outcomes.iter().map(|(_, t)| t.into_step(dispatches)),
-            )
+        let bodies = chunk_bodies!(|range, tally| TALLY => {
+            control.seed::<TALLY>(ctx, range, tally)
         });
-        if instr {
-            steps.push(merged.unwrap());
-        }
-        let min_unpeeled = outcomes
-            .iter()
-            .map(|((_, min), _)| *min)
-            .min()
-            .unwrap_or(u32::MAX);
-        let mut frontier: Vec<VertexId> = outcomes.into_iter().flat_map(|((f, _), _)| f).collect();
-        if S::ENABLED {
-            let step = merged.unwrap_or_default();
-            sink.emit(TraceEvent::Phase(PhaseEvent {
-                index: dispatches,
-                kind: PhaseKind::Seed,
-                bucket: None,
-                frontier: n,
-                discovered: frontier.len(),
-                changed: None,
-                counters: PhaseCounters::from(&step),
-                wall_ns: phase_started.map_or(0, |t| t.elapsed().as_nanos() as u64),
-            }));
-        }
-        match control.phase_complete(merged.as_ref()) {
-            Some(notice) if S::ENABLED => sink.emit(decision_event(dispatches, &notice)),
-            _ => {}
-        }
-        dispatches += 1;
+        let seeds = phases.step(control, seed_ranges, bodies, |seeds, _| {
+            let discovered = seeds.iter().map(|(found, _)| found.len()).sum();
+            (PhaseKind::Seed, None, n, discovered, None)
+        });
+        let min_unpeeled = seeds.iter().map(|&(_, min)| min).min().unwrap_or(u32::MAX);
+        let mut frontier: Vec<VertexId> = seeds.into_iter().flat_map(|(found, _)| found).collect();
         if frontier.is_empty() {
             // Nothing peels at this k. Unpeeled vertices remain (the loop
             // guard saw peeled < n), so jump straight to their smallest
@@ -502,67 +369,29 @@ fn peel_on<G: AdjacencySource, E: Execute, P: PeelControl, S: TraceSink>(
             continue;
         }
         while !frontier.is_empty() {
-            if let Some(stop) = cancel::check(cancel, dispatches) {
+            if let Some(stop) = phases.stop() {
                 outcome = stop;
                 break 'peel;
             }
             rounds += 1;
             peeled += frontier.len();
-            let instr = control.instrumented();
-            let prefix = frontier_degree_prefix(graph, &frontier);
+            let prefix = &frontier_degree_prefix(graph, &frontier);
             let chunks = effective_chunks_with_grain(*prefix.last().unwrap_or(&0), threads, grain);
-            let ranges = balanced_prefix_ranges(&prefix, chunks);
-            let (frontier_ref, prefix_ref) = (&frontier, &prefix);
-            let phase_started = S::ENABLED.then(Instant::now);
-            let outcomes: Vec<(Vec<VertexId>, ThreadTally)> =
-                exec.run(ranges, move |_chunk, range| {
-                    let mut tally = ThreadTally::default();
-                    let chunk_edges = prefix_ref[range.end] - prefix_ref[range.start];
-                    let found = control.cascade(
-                        graph,
-                        degree_ref,
-                        core_ref,
-                        k,
-                        frontier_ref,
-                        range,
-                        chunk_edges,
-                        &mut tally,
-                    );
-                    (found, tally)
-                });
-            let merged = (instr || S::ENABLED).then(|| {
-                merge_thread_steps(
-                    dispatches,
-                    outcomes.iter().map(|(_, t)| t.into_step(dispatches)),
-                )
+            let ranges = balanced_prefix_ranges(prefix, chunks);
+            let queue = &frontier;
+            let bodies = chunk_bodies!(|range, tally| TALLY => {
+                let chunk_edges = prefix[range.end] - prefix[range.start];
+                control.cascade::<TALLY>(ctx, queue, range, chunk_edges, tally)
             });
-            if instr {
-                steps.push(merged.unwrap());
-            }
-            if S::ENABLED {
-                let step = merged.unwrap_or_default();
-                sink.emit(TraceEvent::Phase(PhaseEvent {
-                    index: dispatches,
-                    kind: PhaseKind::Cascade,
-                    bucket: None,
-                    frontier: frontier.len(),
-                    discovered: frontier.len(),
-                    changed: None,
-                    counters: PhaseCounters::from(&step),
-                    wall_ns: phase_started.map_or(0, |t| t.elapsed().as_nanos() as u64),
-                }));
-            }
-            match control.phase_complete(merged.as_ref()) {
-                Some(notice) if S::ENABLED => sink.emit(decision_event(dispatches, &notice)),
-                _ => {}
-            }
-            dispatches += 1;
-            frontier = outcomes.into_iter().flat_map(|(f, _)| f).collect();
+            let found = phases.step(control, ranges, bodies, |_, _| {
+                (PhaseKind::Cascade, None, queue.len(), queue.len(), None)
+            });
+            frontier = found.into_iter().flatten().collect();
         }
         k += 1;
     }
     let cores = CoreDecomposition::new(core.into_iter().map(AtomicU32::into_inner).collect());
-    (cores, rounds, collect_run(steps), outcome)
+    (cores, rounds, phases.counters(), outcome)
 }
 
 /// The one driver behind [`crate::request::run_kcore`]: picks the peel
@@ -583,26 +412,13 @@ pub(crate) fn run_request<G: AdjacencySource, S: TraceSink, X: ExecutorAxis>(
         root: None,
         footprint: Some(run_footprint(graph.footprint())),
     });
-    let (exec, grain, sink, cancel) = (scope.exec(), scope.grain, scope.sink(), scope.cancel);
-    let (cores, rounds, counters, outcome) = match (variant, scope.tally) {
-        (Variant::BranchAvoiding, false) => {
-            peel_on(graph, exec, grain, &StaticPeel::<true, false>, sink, cancel)
+    let (cores, rounds, counters, outcome) = match variant {
+        Variant::BranchAvoiding => peel_on(graph, &scope, &StaticPeel::<true>),
+        Variant::BranchBased => peel_on(graph, &scope, &StaticPeel::<false>),
+        Variant::Auto => {
+            let auto = AutoSwitch::new(StaticPeel::<false>, StaticPeel::<true>);
+            peel_on(graph, &scope, &auto)
         }
-        (Variant::BranchAvoiding, true) => {
-            peel_on(graph, exec, grain, &StaticPeel::<true, true>, sink, cancel)
-        }
-        (Variant::BranchBased, false) => peel_on(
-            graph,
-            exec,
-            grain,
-            &StaticPeel::<false, false>,
-            sink,
-            cancel,
-        ),
-        (Variant::BranchBased, true) => {
-            peel_on(graph, exec, grain, &StaticPeel::<false, true>, sink, cancel)
-        }
-        (Variant::Auto, tally) => peel_on(graph, exec, grain, &auto_peel(tally), sink, cancel),
     };
     scope.close(&outcome);
     let result = ParKcoreRun {

@@ -11,11 +11,13 @@
 //! * [`engine`] — the reusable core every kernel is a client of:
 //!   [`TraversalState`] (atomic distances, optional σ counts), the
 //!   [`LevelLoop`] level-synchronous driver (queue↔bitmap frontier
-//!   flipping, direction switching, per-level tally merging, chunk
-//!   dispatch over [`Execute`]), the [`BucketLoop`] bucket-synchronous
-//!   driver for weighted delta-stepping (bucket-indexed frontiers,
-//!   light/heavy passes, deterministic settled-bucket bounds) and the
-//!   [`SweepLoop`] fixpoint driver for label propagation.
+//!   flipping, direction switching, chunk dispatch over [`Execute`]),
+//!   the [`BucketLoop`] bucket-synchronous driver for weighted
+//!   delta-stepping (bucket-indexed frontiers, light/heavy passes,
+//!   deterministic settled-bucket bounds) and the [`SweepLoop`] fixpoint
+//!   driver for label propagation, all running each phase through one
+//!   phase step that owns tally merging, tracing and the
+//!   [`PhaseHooks`] boundary.
 //! * [`sv`] — parallel Shiloach-Vishkin connected components: the paper's
 //!   Algorithms 2 and 3 per chunk, a data-dependent branch and a store
 //!   per update vs a conditional-move `min` per edge and one store per
@@ -80,7 +82,7 @@
 //! `bga-trace-v1` event stream — run header, one structured event per
 //! phase, worker-pool batch metrics from a monitored pool
 //! ([`pool::PoolMonitor`]) and a totals trailer. The sink is a const
-//! generic switch like the kernels' `TALLY`: instantiated with
+//! generic switch like the chunk methods' `TALLY`: instantiated with
 //! [`bga_obs::NoopSink`], every emission site compiles out and the run is
 //! bit-identical to one that never heard of tracing.
 //!
@@ -134,7 +136,7 @@ pub use cancel::{CancelToken, InterruptReason, RunOutcome};
 pub use counters::{merge_thread_steps, ThreadTally};
 pub use engine::{
     BucketCtx, BucketKernel, BucketLoop, BucketRun, EdgeClass, LevelCtx, LevelKernel, LevelLoop,
-    LevelRun, SweepKernel, SweepLoop, SweepRun, TraversalState,
+    LevelRun, PhaseHooks, SweepKernel, SweepLoop, SweepRun, TraversalState,
 };
 pub use fault::{parse_fault_spec, FaultPlan, FAULT_ENV_VAR, FAULT_INJECTION};
 pub use kcore::{KcoreVariant, ParKcoreRun};

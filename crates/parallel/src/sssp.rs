@@ -6,8 +6,8 @@
 //! [`crate::engine::BucketLoop`]: bucket-indexed frontiers, light-edge
 //! phases re-relaxed until the bucket drains, one deferred heavy pass per
 //! settled bucket. The per-edge relaxation discipline is the paper's
-//! contrast, realised as [`crate::engine::BucketKernel`]s const-generic
-//! over `TALLY`:
+//! contrast, realised as [`crate::engine::BucketKernel`]s whose chunk
+//! method is const-generic over `TALLY`:
 //!
 //! * [`SsspVariant::BranchAvoiding`] ([`BranchAvoidingRelax`]) — one
 //!   unconditional `fetch_min` per edge. The edge-class split is a
@@ -36,11 +36,12 @@
 //! phase count.
 
 use crate::auto::AutoSwitch;
-use crate::bfs::{auto_level, BranchAvoidingLevel, BranchBasedLevel};
+use crate::bfs::traverse;
 use crate::cancel::RunOutcome;
 use crate::counters::ThreadTally;
 use crate::engine::{
-    BucketCtx, BucketKernel, BucketLoop, Direction, EdgeClass, LevelLoop, TraversalState,
+    BucketCtx, BucketKernel, BucketLoop, Direction, EdgeClass, LevelLoop, PhaseHooks,
+    TraversalState,
 };
 use crate::request::{ExecutorAxis, RunConfig, Variant};
 use crate::trace::{run_footprint, RunScope};
@@ -50,7 +51,6 @@ use bga_kernels::bfs::INFINITY;
 use bga_kernels::sssp::SsspResult;
 use bga_kernels::stats::RunCounters;
 use bga_obs::{TraceEvent, TraceSink};
-use bga_perfmodel::advisor::AdvisorConfig;
 use std::ops::Range;
 use std::sync::atomic::Ordering::Relaxed;
 
@@ -105,23 +105,10 @@ pub(crate) fn run_unit_request<G: AdjacencySource, S: TraceSink, X: ExecutorAxis
         footprint: Some(run_footprint(graph.footprint())),
     });
     let state = TraversalState::new(graph.num_vertices());
-    let level_loop = LevelLoop::new(graph, scope.exec(), scope.grain, DirectionConfig::default());
+    let directions = DirectionConfig::default();
+    let level_loop = LevelLoop::new(graph, scope.exec(), scope.grain, scope.tally, directions);
     let (sink, cancel) = (scope.sink(), scope.cancel);
-    let (run, outcome) = match (variant, scope.tally) {
-        (Variant::BranchAvoiding, false) => {
-            level_loop.run(&state, source, &BranchAvoidingLevel::<false>, sink, cancel)
-        }
-        (Variant::BranchAvoiding, true) => {
-            level_loop.run(&state, source, &BranchAvoidingLevel::<true>, sink, cancel)
-        }
-        (Variant::BranchBased, false) => {
-            level_loop.run(&state, source, &BranchBasedLevel::<false>, sink, cancel)
-        }
-        (Variant::BranchBased, true) => {
-            level_loop.run(&state, source, &BranchBasedLevel::<true>, sink, cancel)
-        }
-        (Variant::Auto, tally) => level_loop.run(&state, source, &auto_level(tally), sink, cancel),
-    };
+    let (run, outcome) = traverse(&level_loop, &state, source, variant, sink, cancel);
     scope.close(&outcome);
     let result = ParSsspRun {
         result: SsspResult::new(state.into_distances(), run.directions.len()),
@@ -136,14 +123,12 @@ pub(crate) fn run_unit_request<G: AdjacencySource, S: TraceSink, X: ExecutorAxis
 /// edge with the masked edge-class select and the predicated discovery
 /// enqueue — no data-dependent branch in the inner loop. With `TALLY`,
 /// every operation is accounted into the chunk's [`ThreadTally`].
-pub struct BranchAvoidingRelax<const TALLY: bool>;
+pub struct BranchAvoidingRelax;
 
-impl<W: WeightedAdjacencySource, const TALLY: bool> BucketKernel<W> for BranchAvoidingRelax<TALLY> {
-    fn instrumented(&self) -> bool {
-        TALLY
-    }
+impl PhaseHooks for BranchAvoidingRelax {}
 
-    fn relax_chunk(
+impl<W: WeightedAdjacencySource> BucketKernel<W> for BranchAvoidingRelax {
+    fn relax_chunk<const TALLY: bool>(
         &self,
         ctx: &BucketCtx<'_, W>,
         frontier: &[(VertexId, u32)],
@@ -205,14 +190,12 @@ impl<W: WeightedAdjacencySource, const TALLY: bool> BucketKernel<W> for BranchAv
 /// the BFS test-and-CAS — a single CAS no longer suffices because a
 /// weighted cell can improve several times). With `TALLY`, every
 /// operation is accounted into the chunk's [`ThreadTally`].
-pub struct BranchBasedRelax<const TALLY: bool>;
+pub struct BranchBasedRelax;
 
-impl<W: WeightedAdjacencySource, const TALLY: bool> BucketKernel<W> for BranchBasedRelax<TALLY> {
-    fn instrumented(&self) -> bool {
-        TALLY
-    }
+impl PhaseHooks for BranchBasedRelax {}
 
-    fn relax_chunk(
+impl<W: WeightedAdjacencySource> BucketKernel<W> for BranchBasedRelax {
+    fn relax_chunk<const TALLY: bool>(
         &self,
         ctx: &BucketCtx<'_, W>,
         frontier: &[(VertexId, u32)],
@@ -288,28 +271,6 @@ pub struct ParWssspRun {
     pub threads: usize,
 }
 
-/// The adaptive weighted relaxation behind [`Variant::Auto`]: samples
-/// early bucket passes branch-based with tallies, then hot-switches to
-/// the advisor's pick.
-#[allow(clippy::type_complexity)]
-fn auto_relax(
-    tally_always: bool,
-) -> AutoSwitch<
-    BranchBasedRelax<true>,
-    BranchBasedRelax<false>,
-    BranchAvoidingRelax<true>,
-    BranchAvoidingRelax<false>,
-> {
-    AutoSwitch::new(
-        BranchBasedRelax::<true>,
-        BranchBasedRelax::<false>,
-        BranchAvoidingRelax::<true>,
-        BranchAvoidingRelax::<false>,
-        AdvisorConfig::default(),
-        tally_always,
-    )
-}
-
 /// The one weighted driver behind [`crate::request::run_sssp_weighted`]
 /// and its resumed form. With `initial` distances the bucket loop
 /// re-files every finite-distance vertex and converges from that
@@ -338,43 +299,20 @@ pub(crate) fn run_weighted_request<W: WeightedAdjacencySource, S: TraceSink, X: 
         Some(distances) => TraversalState::from_distances(distances),
         None => TraversalState::new(graph.num_vertices()),
     };
-    let bucket_loop = BucketLoop::new(graph, scope.exec(), scope.grain, delta);
+    let bucket_loop = BucketLoop::new(graph, scope.exec(), scope.grain, scope.tally, delta);
     let (sink, cancel) = (scope.sink(), scope.cancel);
-    let (run, outcome) = match (variant, scope.tally) {
-        (Variant::BranchAvoiding, false) => bucket_loop.run(
-            &state,
-            source,
-            &BranchAvoidingRelax::<false>,
-            sink,
-            cancel,
-            resume,
-        ),
-        (Variant::BranchAvoiding, true) => bucket_loop.run(
-            &state,
-            source,
-            &BranchAvoidingRelax::<true>,
-            sink,
-            cancel,
-            resume,
-        ),
-        (Variant::BranchBased, false) => bucket_loop.run(
-            &state,
-            source,
-            &BranchBasedRelax::<false>,
-            sink,
-            cancel,
-            resume,
-        ),
-        (Variant::BranchBased, true) => bucket_loop.run(
-            &state,
-            source,
-            &BranchBasedRelax::<true>,
-            sink,
-            cancel,
-            resume,
-        ),
-        (Variant::Auto, tally) => {
-            bucket_loop.run(&state, source, &auto_relax(tally), sink, cancel, resume)
+    let (run, outcome) = match variant {
+        Variant::BranchAvoiding => {
+            bucket_loop.run(&state, source, &BranchAvoidingRelax, sink, cancel, resume)
+        }
+        Variant::BranchBased => {
+            bucket_loop.run(&state, source, &BranchBasedRelax, sink, cancel, resume)
+        }
+        // Samples early bucket passes branch-based, then hot-switches to
+        // the advisor's pick.
+        Variant::Auto => {
+            let auto = AutoSwitch::new(BranchBasedRelax, BranchAvoidingRelax);
+            bucket_loop.run(&state, source, &auto, sink, cancel, resume)
         }
     };
     scope.close(&outcome);

@@ -35,10 +35,10 @@
 //!
 //! Both are thin clients of the engine's [`SweepLoop`]
 //! (see [`crate::engine`]), which owns the edge-balanced chunking, the
-//! sweep-until-fixpoint driver and the per-sweep tally merging; the two
+//! sweep-until-fixpoint driver and the per-sweep tallies; the two
 //! [`SweepKernel`]s below supply only the per-edge hooking discipline,
-//! with a `TALLY` const parameter that compiles the counter accounting in
-//! or out. Labels decrease monotonically towards the per-component
+//! with a `TALLY` const method parameter that compiles the counter
+//! accounting in or out. Labels decrease monotonically towards the per-component
 //! minimum vertex id — the same unique fixed point the sequential kernels
 //! converge to — so the **final labels are identical to the sequential
 //! result for every thread count**, even though the number of sweeps and
@@ -47,14 +47,13 @@
 use crate::auto::AutoSwitch;
 use crate::cancel::RunOutcome;
 use crate::counters::ThreadTally;
-use crate::engine::{SweepKernel, SweepLoop};
+use crate::engine::{PhaseHooks, SweepKernel, SweepLoop};
 use crate::request::{ExecutorAxis, RunConfig, Variant};
 use crate::trace::{run_footprint, RunScope};
 use bga_graph::AdjacencySource;
 use bga_kernels::cc::ComponentLabels;
 use bga_kernels::stats::RunCounters;
 use bga_obs::{TraceEvent, TraceSink};
-use bga_perfmodel::advisor::AdvisorConfig;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 
@@ -80,29 +79,6 @@ impl ParSvRun {
     }
 }
 
-/// The adaptive sweep kernel: samples branch-based, switches per the
-/// advisor. `tally_always` keeps post-switch sweeps tallied (instrumented
-/// and traced runs want the full counter series).
-#[allow(clippy::type_complexity)]
-fn auto_sweep<'a>(
-    ccid: &'a [AtomicU32],
-    tally_always: bool,
-) -> AutoSwitch<
-    BranchBasedSweep<'a, true>,
-    BranchBasedSweep<'a, false>,
-    BranchAvoidingSweep<'a, true>,
-    BranchAvoidingSweep<'a, false>,
-> {
-    AutoSwitch::new(
-        BranchBasedSweep::<true> { ccid },
-        BranchBasedSweep::<false> { ccid },
-        BranchAvoidingSweep::<true> { ccid },
-        BranchAvoidingSweep::<false> { ccid },
-        AdvisorConfig::default(),
-        tally_always,
-    )
-}
-
 fn identity_labels(n: usize) -> Vec<AtomicU32> {
     (0..n as u32).map(AtomicU32::new).collect()
 }
@@ -118,20 +94,23 @@ fn into_labels(ccid: Vec<AtomicU32>) -> ComponentLabels {
 /// load of `ccid[v]` and a plain `Relaxed` store cannot lose a race (see
 /// the module docs). Per sweep it loads |V| + |E| labels and stores once
 /// per update.
-struct BranchBasedSweep<'a, const TALLY: bool> {
+struct BranchBasedSweep<'a> {
     ccid: &'a [AtomicU32],
 }
 
-impl<G: AdjacencySource, const TALLY: bool> SweepKernel<G> for BranchBasedSweep<'_, TALLY> {
-    fn instrumented(&self) -> bool {
-        TALLY
-    }
+impl PhaseHooks for BranchBasedSweep<'_> {}
 
+impl<G: AdjacencySource> SweepKernel<G> for BranchBasedSweep<'_> {
     // Out of line so the disassembly audit
     // (`crates/parallel/scripts/sv-asm-audit.sh`) finds the body under its
     // own symbol; it is called once per chunk.
     #[inline(never)]
-    fn sweep_chunk(&self, graph: &G, range: Range<usize>, tally: &mut ThreadTally) -> bool {
+    fn sweep_chunk<const TALLY: bool>(
+        &self,
+        graph: &G,
+        range: Range<usize>,
+        tally: &mut ThreadTally,
+    ) -> bool {
         let mut changed = false;
         for v in range {
             let mut cv = self.ccid[v].load(Relaxed);
@@ -174,18 +153,21 @@ impl<G: AdjacencySource, const TALLY: bool> SweepKernel<G> for BranchBasedSweep<
 /// monotone and fixpoint detection exact (see the module docs). Per sweep
 /// it loads |V| + |E| labels, does |E| conditional moves and stores |V|
 /// times.
-struct BranchAvoidingSweep<'a, const TALLY: bool> {
+struct BranchAvoidingSweep<'a> {
     ccid: &'a [AtomicU32],
 }
 
-impl<G: AdjacencySource, const TALLY: bool> SweepKernel<G> for BranchAvoidingSweep<'_, TALLY> {
-    fn instrumented(&self) -> bool {
-        TALLY
-    }
+impl PhaseHooks for BranchAvoidingSweep<'_> {}
 
+impl<G: AdjacencySource> SweepKernel<G> for BranchAvoidingSweep<'_> {
     // Out of line for the disassembly audit, as above.
     #[inline(never)]
-    fn sweep_chunk(&self, graph: &G, range: Range<usize>, tally: &mut ThreadTally) -> bool {
+    fn sweep_chunk<const TALLY: bool>(
+        &self,
+        graph: &G,
+        range: Range<usize>,
+        tally: &mut ThreadTally,
+    ) -> bool {
         let mut change = 0u32;
         for v in range {
             let cv_init = self.ccid[v].load(Relaxed);
@@ -248,22 +230,16 @@ pub(crate) fn run_request<G: AdjacencySource, S: TraceSink, X: ExecutorAxis>(
             .collect(),
         None => identity_labels(graph.num_vertices()),
     };
-    let sweep_loop = SweepLoop::new(graph, scope.exec(), scope.grain);
+    let sweep_loop = SweepLoop::new(graph, scope.exec(), scope.grain, scope.tally);
     let (sink, cancel) = (scope.sink(), scope.cancel);
-    let (run, outcome) = match (variant, scope.tally) {
-        (Variant::BranchAvoiding, false) => {
-            sweep_loop.run(&BranchAvoidingSweep::<false> { ccid: &ccid }, sink, cancel)
-        }
-        (Variant::BranchAvoiding, true) => {
-            sweep_loop.run(&BranchAvoidingSweep::<true> { ccid: &ccid }, sink, cancel)
-        }
-        (Variant::BranchBased, false) => {
-            sweep_loop.run(&BranchBasedSweep::<false> { ccid: &ccid }, sink, cancel)
-        }
-        (Variant::BranchBased, true) => {
-            sweep_loop.run(&BranchBasedSweep::<true> { ccid: &ccid }, sink, cancel)
-        }
-        (Variant::Auto, tally) => sweep_loop.run(&auto_sweep(&ccid, tally), sink, cancel),
+    let (based, avoiding) = (
+        BranchBasedSweep { ccid: &ccid },
+        BranchAvoidingSweep { ccid: &ccid },
+    );
+    let (run, outcome) = match variant {
+        Variant::BranchAvoiding => sweep_loop.run(&avoiding, sink, cancel),
+        Variant::BranchBased => sweep_loop.run(&based, sink, cancel),
+        Variant::Auto => sweep_loop.run(&AutoSwitch::new(based, avoiding), sink, cancel),
     };
     scope.close(&outcome);
     let result = ParSvRun {
@@ -286,6 +262,7 @@ mod tests {
     use bga_graph::transform::relabel_random;
     use bga_graph::{CompressedCsrGraph, CsrGraph, GraphBuilder};
     use bga_kernels::cc::{sv_branch_avoiding, sv_branch_based};
+    use bga_perfmodel::advisor::AdvisorConfig;
 
     fn labels(g: &CsrGraph, variant: Variant, threads: usize) -> ComponentLabels {
         run_components(g, variant, &RunConfig::new().threads(threads))

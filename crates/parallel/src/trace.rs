@@ -34,8 +34,9 @@ pub(crate) struct RunScope<'a, S: TraceSink, X: ExecutorAxis> {
     trace: TraceRun<'a, S>,
     /// Minimum weight units before a phase fans out.
     pub(crate) grain: usize,
-    /// Whether the kernels tally: the caller asked for counters, or a
+    /// Whether every phase tallies: the caller asked for counters, or a
     /// trace needs real phase counters. A cancel token alone does not.
+    /// The engine loops take it with the executor and grain.
     pub(crate) tally: bool,
     /// Checked by the loops at every phase boundary.
     pub(crate) cancel: Option<&'a CancelToken>,
@@ -120,14 +121,6 @@ impl<'a, S: TraceSink> TraceRun<'a, S> {
             acc: Mutex::new((0, PhaseCounters::default())),
             started,
         }
-    }
-
-    /// Phase events forwarded so far — the offset base multi-source
-    /// drivers (Brandes) give each per-source
-    /// [`bga_obs::OffsetSink`] so the whole run's indices stay
-    /// consecutive.
-    pub(crate) fn phases_so_far(&self) -> usize {
-        self.acc.lock().unwrap().0
     }
 
     /// Replays the pool's collected metrics (when monitored) and emits
@@ -253,7 +246,6 @@ mod tests {
             footprint: None,
         });
         scope.emit(phase(1));
-        assert_eq!(scope.phases_so_far(), 1);
         scope.emit(phase(2));
         scope.finish_with_outcome(
             Some(PoolMetrics {

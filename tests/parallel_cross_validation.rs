@@ -739,10 +739,10 @@ proptest! {
             DirectionConfig::always_bottom_up(),
         ] {
             let state = TraversalState::new(g.num_vertices());
-            let (run, _) = LevelLoop::new(&g, &pool, 1, config).run(
+            let (run, _) = LevelLoop::new(&g, &pool, 1, false, config).run(
                 &state,
                 0,
-                &BranchAvoidingLevel::<false>,
+                &BranchAvoidingLevel,
                 &NoopSink,
                 None,
             );

@@ -285,10 +285,10 @@ fn bucket_phase_shapes<E: Execute>(
 ) -> Vec<PhaseShape> {
     let sink = MemorySink::new();
     let state = TraversalState::new(wg.num_vertices());
-    BucketLoop::new(wg, exec, grain, 4).run(
+    BucketLoop::new(wg, exec, grain, false, 4).run(
         &state,
         0,
-        &BranchAvoidingRelax::<false>,
+        &BranchAvoidingRelax,
         &sink,
         None,
         false,

@@ -40,6 +40,6 @@ pub use event::{
 pub use serve::{
     QueryKind, QueryPayload, QueryStatus, ServeRequest, ServeResponse, ServeStats, SERVE_SCHEMA,
 };
-pub use sink::{JsonlSink, MemorySink, NoopSink, OffsetSink, TraceSink};
+pub use sink::{JsonlSink, MemorySink, NoopSink, TraceSink};
 pub use table::{phase_table, step_table, Table};
 pub use validate::{parse_trace, validate_trace, PoolTotals, TraceReport};

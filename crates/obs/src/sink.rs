@@ -104,42 +104,6 @@ impl<W: Write + Send> TraceSink for JsonlSink<W> {
     }
 }
 
-/// Forwards to another sink with phase indices shifted by a base offset.
-///
-/// Multi-source drivers (Brandes betweenness) run the level loop once per
-/// source; wrapping the shared sink in an `OffsetSink` per source keeps the
-/// whole run's phase indices strictly increasing, as the schema requires.
-#[derive(Debug)]
-pub struct OffsetSink<'a, S> {
-    inner: &'a S,
-    base: usize,
-}
-
-impl<'a, S: TraceSink> OffsetSink<'a, S> {
-    /// Wraps `inner`, adding `base` to every phase index.
-    pub fn new(inner: &'a S, base: usize) -> Self {
-        OffsetSink { inner, base }
-    }
-}
-
-impl<S: TraceSink> TraceSink for OffsetSink<'_, S> {
-    const ENABLED: bool = S::ENABLED;
-
-    fn emit(&self, event: TraceEvent) {
-        match event {
-            TraceEvent::Phase(mut phase) => {
-                phase.index += self.base;
-                self.inner.emit(TraceEvent::Phase(phase));
-            }
-            TraceEvent::Decision(mut decision) => {
-                decision.phase += self.base;
-                self.inner.emit(TraceEvent::Decision(decision));
-            }
-            other => self.inner.emit(other),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,12 +123,10 @@ mod tests {
     }
 
     // Compile-time: the no-op sink is disabled, collecting sinks are
-    // enabled, and OffsetSink inherits the inner sink's switch.
+    // enabled.
     const _: () = {
         assert!(!NoopSink::ENABLED);
         assert!(MemorySink::ENABLED);
-        assert!(!<OffsetSink<'static, NoopSink> as TraceSink>::ENABLED);
-        assert!(<OffsetSink<'static, MemorySink> as TraceSink>::ENABLED);
     };
 
     #[test]
@@ -207,35 +169,5 @@ mod tests {
         sink.emit(phase(1)); // dropped, error already sticky
         let err = sink.finish().unwrap_err();
         assert!(err.to_string().contains("disk full"));
-    }
-
-    #[test]
-    fn offset_sink_shifts_phase_indices_only() {
-        use crate::event::DecisionEvent;
-        let sink = MemorySink::new();
-        let offset = OffsetSink::new(&sink, 10);
-        offset.emit(phase(0));
-        offset.emit(TraceEvent::Decision(DecisionEvent {
-            phase: 2,
-            variant: "branch-based".to_string(),
-            switched: false,
-            sampled: 3,
-            edges: 0,
-            updates: 0,
-            mispredictions: 0,
-        }));
-        offset.emit(TraceEvent::PoolSummary {
-            batches: 1,
-            parks: 0,
-            wakes: 0,
-        });
-        let events = sink.take();
-        assert_eq!(events[0], phase(10));
-        // Decision events anchor to a phase index, so they shift too.
-        match &events[1] {
-            TraceEvent::Decision(decision) => assert_eq!(decision.phase, 12),
-            other => panic!("expected a decision event, got {other:?}"),
-        }
-        assert!(matches!(events[2], TraceEvent::PoolSummary { .. }));
     }
 }

@@ -43,9 +43,10 @@
 //!   the level loop (bucket `i` *is* level `i` on unit weights), reusing
 //!   the BFS relaxation kernels and the queue↔bitmap frontier flip.
 //! * [`pool`] — the execution layer underneath: a persistent
-//!   [`WorkerPool`] of condvar-parked workers handed edge-balanced chunks
-//!   through an atomic claim counter (spawned once per run, woken once per
-//!   sweep/level), with the old per-sweep `std::thread::scope` behaviour
+//!   [`WorkerPool`] whose workers are handed edge-balanced chunks through
+//!   an atomic claim counter (spawned once per run; between batches an
+//!   idle worker spins for up to [`pool::SPIN_BOUND`], then parks on a
+//!   condvar), with the old per-sweep `std::thread::scope` behaviour
 //!   kept as [`ScopedExecutor`] for benchmarking. No dependencies beyond
 //!   `std`.
 //! * [`cancel`] — cooperative cancellation: a [`CancelToken`] (shared

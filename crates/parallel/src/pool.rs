@@ -10,11 +10,14 @@
 //!
 //! Two executors implement the [`Execute`] seam the kernels run on:
 //!
-//! * [`WorkerPool`] — the default: long-lived workers parked on a
-//!   condvar/epoch barrier, woken once per sweep/level and handed chunks
-//!   through an atomic claim counter. Spawn cost is paid once per *run*,
-//!   not once per level, which is what makes BFS over a high-diameter
-//!   graph (thousands of small frontiers) fast.
+//! * [`WorkerPool`] — the default: long-lived workers handed chunks
+//!   through an atomic claim counter. Between batches an idle worker
+//!   spins on an epoch word for up to [`SPIN_BOUND`], then parks on a
+//!   condvar; the submitter waits for completion the same way. Spawn cost
+//!   is paid once per *run*, not once per level, and back-to-back levels
+//!   are picked up by a spinning worker without a futex park and wake,
+//!   which is what makes BFS over a high-diameter graph (hundreds of small
+//!   frontiers) fast.
 //! * [`ScopedExecutor`] — the previous behaviour, one `std::thread::scope`
 //!   spawn per chunk per sweep. Kept as the baseline the benchmarks
 //!   compare the pool against.
@@ -26,10 +29,11 @@ use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{
     AtomicU64, AtomicUsize,
-    Ordering::{AcqRel, Acquire, Relaxed},
+    Ordering::{AcqRel, Acquire, Relaxed, Release},
 };
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Most workers any kernel will spawn, however large the request. Each
 /// worker is one OS thread, so an unbounded request (say `--threads 50000`)
@@ -44,10 +48,53 @@ pub fn resolve_threads(requested: usize) -> usize {
     if requested > 0 {
         requested.min(MAX_THREADS)
     } else {
+        host_parallelism().min(MAX_THREADS)
+    }
+}
+
+/// The host's `available_parallelism`, read once per process: a pool is
+/// built per kernel run, and the read costs file and affinity syscalls.
+fn host_parallelism() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| {
         std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1)
-            .min(MAX_THREADS)
+    })
+}
+
+/// How long an idle pool worker spins for the next batch, and a submitter
+/// for its batch's completion, before blocking on a condvar.
+///
+/// The ski-rental rule: spinning for as long as a block costs is never
+/// worse than twice the best choice made in hindsight. A block is a futex
+/// park plus, later, a futex wake and reschedule. On the 2-vCPU reference
+/// host that round trip is ≈ 50 µs: a batch whose threads are spawned and
+/// joined afresh costs 65 µs (`pool.scoped_batch_us`), and a `batch_mesh`
+/// BFS level, one near-empty 2-chunk batch whose worker parks in between,
+/// takes 54–65 µs (`engine.level_us_per_phase`) against ≈ 25 µs for a
+/// level of the one-thread kernel. So spin for 50 µs. Levels arriving
+/// closer together than that never block; a pool left idle longer burns
+/// at most 50 µs of one core per worker before it sleeps.
+pub const SPIN_BOUND: Duration = Duration::from_micros(50);
+
+/// Spin iterations between two reads of the clock in [`spin_until`].
+const SPIN_CHECK_EVERY: u32 = 64;
+
+/// Spins until `ready()` holds or [`SPIN_BOUND`] has passed, and returns
+/// the last value of `ready()`.
+fn spin_until(ready: impl Fn() -> bool) -> bool {
+    let start = Instant::now();
+    loop {
+        for _ in 0..SPIN_CHECK_EVERY {
+            if ready() {
+                return true;
+            }
+            std::hint::spin_loop();
+        }
+        if start.elapsed() >= SPIN_BOUND {
+            return ready();
+        }
     }
 }
 
@@ -341,6 +388,8 @@ impl PoolMonitor {
     /// them. (Park/wake counts are pool-wide: a worker parked because no
     /// batch was in flight is still a park.)
     pub fn take_metrics(&self) -> PoolMetrics {
+        // Relaxed: the park/wake counters are statistics that order
+        // nothing; a count racing a drain lands in this drain or the next.
         PoolMetrics {
             batches: std::mem::take(&mut self.batches.lock().unwrap()),
             parks: self.parks.swap(0, Relaxed),
@@ -382,9 +431,17 @@ struct Job {
     fault_batch: usize,
 }
 
-// SAFETY: `task` is only dereferenced while the submitting `run` frame is
-// alive (see the completion protocol above); the closure itself is `Sync`,
-// and all other fields are synchronisation primitives.
+// SAFETY: the raw `task` pointer is the only field that is not already
+// `Send + Sync`. Invariant: `task` is dereferenced only by a thread that
+// has just won a chunk index `< chunks` from `next_chunk`, and the
+// submitting `run` frame that owns the closure cannot return before that
+// chunk's `completed` increment (its completion barrier waits for
+// `completed == chunks`). So every dereference, on any thread, happens
+// while the closure is alive, and the closure is `Sync`, so shared calls
+// from several threads are sound. A worker that holds the `Arc<Job>` past
+// the batch only ever sees `next_chunk >= chunks` and never dereferences.
+// The remaining fields are atomics, a `Mutex` and plain integers written
+// before the job is published.
 unsafe impl Send for Job {}
 unsafe impl Sync for Job {}
 
@@ -395,11 +452,17 @@ impl Job {
     /// may still be finishing on other threads.
     fn work(&self, who: usize, done_lock: &Mutex<()>, done_cv: &Condvar) {
         loop {
+            // Relaxed: the claim counter only has to hand each index out
+            // once (RMW atomicity). Visibility of the task and the job's
+            // fields comes from the publication barrier: the `control`
+            // mutex, taken by the worker after it saw the new epoch.
             let index = self.next_chunk.fetch_add(1, Relaxed);
             if index >= self.chunks {
                 return;
             }
             if let Some(claimed) = &self.claimed {
+                // Relaxed: read by the submitter only after the completion
+                // barrier, which this claim precedes in program order.
                 claimed[who].fetch_add(1, Relaxed);
             }
             // SAFETY: a successful claim proves the batch is still live
@@ -412,6 +475,11 @@ impl Job {
             }
             // Count the chunk even on panic so the submitter never
             // deadlocks; it re-throws the payload after the barrier.
+            // AcqRel: the Release half publishes this chunk's slot write
+            // and claim tally to the submitter's Acquire load of
+            // `completed` (the completion barrier in `run`); the Acquire
+            // half chains the other chunks' releases through the RMW
+            // sequence, so whoever reads the final count sees them all.
             if self.completed.fetch_add(1, AcqRel) + 1 == self.chunks {
                 // Take the lock so a submitter between its predicate check
                 // and `wait` cannot miss this notification.
@@ -434,6 +502,16 @@ struct Control {
 
 struct Shared {
     control: Mutex<Control>,
+    /// What idle workers spin on: a copy of `control.epoch`, stored under
+    /// the lock by `publish`, and bumped once more by shutdown. A worker
+    /// whose last-seen epoch differs from it takes `control` to find out
+    /// which of the two happened.
+    signal: AtomicU64,
+    /// Whether waits spin for [`SPIN_BOUND`] before blocking: only when
+    /// the pool has no more threads than the host has cores. An
+    /// oversubscribed pool's spinner would burn the very core the thread
+    /// it waits for needs, so it blocks at once.
+    spin: bool,
     /// Wakes parked workers when a batch is published or on shutdown.
     work_cv: Condvar,
     /// Pair backing the submitter's completion wait.
@@ -472,16 +550,21 @@ impl std::fmt::Display for PoolError {
 
 impl std::error::Error for PoolError {}
 
-/// A persistent pool of parked worker threads, reused across every
-/// sweep/level of a kernel run.
+/// A persistent pool of worker threads, reused across every sweep/level
+/// of a kernel run.
 ///
-/// `threads == n` means *n-way parallelism*: `n - 1` parked workers plus
+/// `threads == n` means *n-way parallelism*: `n - 1` pool workers plus
 /// the submitting thread, which always participates in its own batches —
 /// `WorkerPool::new(1)` spawns nothing and runs everything inline, giving
 /// exactly sequential behaviour. Batches are handed out as chunk indices
 /// through an atomic claim counter, so a chunk list longer than the worker
 /// count load-balances dynamically on top of the static edge-balanced
 /// split.
+///
+/// Between batches a worker spins for up to [`SPIN_BOUND`] on the epoch
+/// word `publish` stores, then parks on a condvar; a submitter spins for
+/// its batch's completion the same way before it blocks. Neither spins
+/// when the pool has more threads than the host has cores.
 ///
 /// Dropping the pool parks no new work, wakes every worker and joins them.
 pub struct WorkerPool {
@@ -529,6 +612,8 @@ impl WorkerPool {
                 job: None,
                 shutdown: false,
             }),
+            signal: AtomicU64::new(0),
+            spin: threads <= host_parallelism(),
             work_cv: Condvar::new(),
             done_lock: Mutex::new(()),
             done_cv: Condvar::new(),
@@ -566,6 +651,8 @@ impl WorkerPool {
     /// Health probe: parked workers that died abnormally since the pool
     /// was built. A healthy pool reports 0.
     pub fn lost_workers(&self) -> usize {
+        // Relaxed: a health probe. A death it misses now is seen by the
+        // next call; no data is read on the strength of this count.
         self.shared.lost.load(Relaxed).min(self.handles.len())
     }
 
@@ -598,6 +685,11 @@ impl WorkerPool {
     fn join_workers(&mut self) -> usize {
         if let Ok(mut control) = self.shared.control.lock() {
             control.shutdown = true;
+            // Moves the spin word off every worker's last-seen epoch, so a
+            // spinning worker takes `control` and sees `shutdown` now, not
+            // after the spin bound. Release pairs with the spin's Acquire
+            // load, like `publish`'s store.
+            self.shared.signal.fetch_add(1, Release);
         }
         self.shared.work_cv.notify_all();
         self.handles
@@ -611,6 +703,12 @@ impl WorkerPool {
         let mut control = self.shared.control.lock().unwrap();
         control.epoch += 1;
         control.job = Some(Arc::clone(job));
+        // Release, under the lock: a spinning worker's Acquire load that
+        // reads this value happens after the new `job` was stored. The
+        // worker then takes `control` to read the job, so the mutex, not
+        // this store, is what hands the job over; the store only ends the
+        // spin early.
+        self.shared.signal.store(control.epoch, Release);
         drop(control);
         self.shared.work_cv.notify_all();
     }
@@ -640,6 +738,7 @@ impl Execute for WorkerPool {
         }
 
         let fault_batch = if FAULT_INJECTION {
+            // Relaxed: only the RMW's uniqueness matters (a batch ordinal).
             self.shared.fault_batches.fetch_add(1, Relaxed)
         } else {
             0
@@ -666,10 +765,16 @@ impl Execute for WorkerPool {
             unsafe { slots[index].write(value) };
         };
         let task_ref: &(dyn Fn(usize) + Sync) = &task;
-        // SAFETY: the 'static lifetime is a lie confined to this frame: the
-        // completion barrier below guarantees every dereference of the
-        // pointer happens before `run` returns, and stale holders never
-        // dereference an exhausted job (see `Job`).
+        // SAFETY: the 'static lifetime is a lie confined to this frame.
+        // Invariant: `task` (and the `slots` and `f` it borrows) outlives
+        // every dereference of the pointer, because each dereference
+        // follows a won chunk claim, and this frame does not return before
+        // the completion barrier has seen every chunk complete. Nor does it
+        // unwind before then: task panics are caught per chunk inside
+        // `Job::work`, and no code panics while holding the mutexes locked
+        // on the way, so none of their `unwrap`s can meet a poisoned lock.
+        // Stale holders of the job never dereference an exhausted claim
+        // counter (see `Job`).
         let task_static: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(task_ref) };
         let job = Arc::new(Job {
             task: task_static as *const _,
@@ -692,13 +797,16 @@ impl Execute for WorkerPool {
         job.work(0, &self.shared.done_lock, &self.shared.done_cv);
 
         // Completion barrier: wait until every chunk's task invocation has
-        // returned. The Acquire load pairs with the workers' AcqRel
-        // `completed` increments, making their slot writes visible.
-        let mut guard = self.shared.done_lock.lock().unwrap();
-        while job.completed.load(Acquire) < chunks {
-            guard = self.shared.done_cv.wait(guard).unwrap();
+        // returned, spinning first when the pool may. The Acquire loads
+        // pair with the workers' AcqRel `completed` increments, making
+        // their slot writes and claim tallies visible.
+        let finished = || job.completed.load(Acquire) == chunks;
+        if !(self.shared.spin && spin_until(finished)) {
+            let mut guard = self.shared.done_lock.lock().unwrap();
+            while !finished() {
+                guard = self.shared.done_cv.wait(guard).unwrap();
+            }
         }
-        drop(guard);
 
         // All claims happen before their chunk's AcqRel `completed`
         // increment, so after the barrier the tallies are final.
@@ -741,6 +849,7 @@ fn worker_main(shared: &Shared, who: usize) {
     impl Drop for LossGuard<'_> {
         fn drop(&mut self) {
             if std::thread::panicking() {
+                // Relaxed: see `WorkerPool::lost_workers`.
                 self.0.lost.fetch_add(1, Relaxed);
             }
         }
@@ -748,6 +857,14 @@ fn worker_main(shared: &Shared, who: usize) {
     let _guard = LossGuard(shared);
     let mut seen_epoch = 0u64;
     loop {
+        // Spin before parking: a batch (or shutdown) that arrives within
+        // the bound is picked up without a futex park and wake. Acquire
+        // pairs with the Release store in `publish` / `join_workers`.
+        // Whatever the spin saw, the lock below decides: a park still
+        // means "waited on `work_cv`", which the monitor counts.
+        if shared.spin {
+            spin_until(|| shared.signal.load(Acquire) != seen_epoch);
+        }
         let job = {
             let mut control = shared.control.lock().unwrap();
             loop {
@@ -759,6 +876,7 @@ fn worker_main(shared: &Shared, who: usize) {
                     break control.job.clone().expect("epoch bumped without a job");
                 }
                 if let Some(monitor) = &shared.monitor {
+                    // Relaxed: statistics (see `PoolMonitor::take_metrics`).
                     monitor.parks.fetch_add(1, Relaxed);
                 }
                 control = shared.work_cv.wait(control).unwrap();
@@ -788,9 +906,14 @@ struct ResultSlot<T> {
     value: std::cell::UnsafeCell<Option<T>>,
 }
 
-// SAFETY: the claim counter ensures exactly one writer per slot, and the
-// completion barrier (Release increment / Acquire load of `completed`)
-// orders the write before the submitter's read.
+// SAFETY: invariant: slot `i` is written only by the thread that won chunk
+// index `i` from the claim counter, which hands every index out exactly
+// once, so there is never more than one writer. The slot is read (moved
+// out by `take`, which needs ownership) only by the submitter after the
+// completion barrier; the writer's AcqRel `completed` increment and the
+// submitter's Acquire load order the write before the read, so no access
+// races. `T: Send` because the value moves from the writer's thread to
+// the submitter's.
 unsafe impl<T: Send> Sync for ResultSlot<T> {}
 
 impl<T> ResultSlot<T> {
@@ -1071,6 +1194,44 @@ mod tests {
         assert!(metrics.parks >= 1, "worker never parked");
         // Shutdown wakes the parked worker, so wakes keep pace with parks.
         assert!(metrics.wakes >= 1, "worker never woke");
+    }
+
+    #[test]
+    fn spinning_and_parked_workers_both_return_batches_in_range_order() {
+        // Pauses of none, about half the spin bound and about twice it
+        // catch the worker mid-spin, at the end of its spin and parked.
+        // Busy-waits, not sleeps: a sleep's timer slack alone exceeds
+        // half the bound.
+        let pauses = [Duration::ZERO, SPIN_BOUND / 2, SPIN_BOUND * 2];
+        let monitor = PoolMonitor::new();
+        let pool = WorkerPool::with_monitor(2, Arc::clone(&monitor));
+        for batch in 0..5_000usize {
+            let chunks = 2 + batch % 3;
+            let ranges = even_ranges(batch + chunks, chunks);
+            let got = pool.run(ranges.clone(), |index, range| (index, range));
+            let expected: Vec<_> = ranges.into_iter().enumerate().collect();
+            assert_eq!(got, expected, "batch {batch}");
+            let until = Instant::now() + pauses[batch / 7 % pauses.len()];
+            while Instant::now() < until {
+                std::hint::spin_loop();
+            }
+        }
+        drop(pool);
+        let metrics = monitor.take_metrics();
+        assert_eq!(metrics.batches.len(), 5_000);
+        assert!(metrics.parks >= 1, "worker never parked");
+    }
+
+    #[test]
+    fn dropping_a_pool_right_after_a_batch_joins_its_workers() {
+        // The worker is still spinning for the next batch when the pool
+        // drops; shutdown must reach it and the join must return.
+        for round in 0..200usize {
+            let pool = WorkerPool::new(2);
+            let sums = pool.run(even_ranges(round + 2, 2), |_i, range| range.sum::<usize>());
+            assert_eq!(sums.iter().sum::<usize>(), (round + 2) * (round + 1) / 2);
+            drop(pool);
+        }
     }
 
     #[test]

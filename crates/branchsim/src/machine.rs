@@ -3,7 +3,8 @@
 //! The paper measures its hand-written assembly kernels with hardware
 //! performance counters. This reproduction substitutes a software
 //! *instrumentation machine*: each kernel is written once against the
-//! [`Machine`] trait, calling [`Machine::load`], [`Machine::store`],
+//! [`Machine`] trait, calling [`Machine::load`], [`Machine::store`] (or
+//! [`Machine::store_shared`] for a slot other threads read),
 //! [`Machine::branch`], [`Machine::cond_move`] and [`Machine::alu`] at the
 //! points where the assembly version would issue the corresponding
 //! instruction. Run on [`ExecMachine`], every event is counted exactly and a
@@ -15,6 +16,7 @@
 use crate::counters::PerfCounters;
 use crate::predictor::{Outcome, PredictorModel, TwoBitPredictor};
 use crate::site::BranchSite;
+use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 
 /// The operations a kernel issues, as the paper's assembly would issue them.
 pub trait Machine {
@@ -28,6 +30,16 @@ pub trait Machine {
 
     /// A memory store: `*slot = value`.
     fn store<T>(&mut self, slot: &mut T, value: T);
+
+    /// A store to a slot other threads may read: the machine's
+    /// [`Machine::store`], published with a `Relaxed` atomic store, which
+    /// is a plain `mov` on x86-64.
+    #[inline(always)]
+    fn store_shared(&mut self, slot: &AtomicU32, value: u32) {
+        let mut stored = value;
+        self.store(&mut stored, value);
+        slot.store(stored, Relaxed);
+    }
 
     /// `n` generic ALU / bookkeeping instructions (index arithmetic,
     /// compares feeding conditional moves, register moves).
@@ -214,12 +226,14 @@ mod tests {
         let mut x = 0u32;
         let v = m.load(41u32);
         m.store(&mut x, v + 1);
+        let shared = AtomicU32::new(0);
+        m.store_shared(&shared, 7);
         m.alu(3);
-        assert_eq!(x, 42);
+        assert_eq!((x, shared.into_inner()), (42, 7));
         let c = m.counters();
         assert_eq!(c.loads, 1);
-        assert_eq!(c.stores, 1);
-        assert_eq!(c.instructions, 1 + 1 + 3);
+        assert_eq!(c.stores, 2);
+        assert_eq!(c.instructions, 1 + 2 + 3);
         assert_eq!(c.branches, 0);
     }
 
@@ -277,6 +291,9 @@ mod tests {
         let v = m.load(41u32);
         m.store(&mut x, v + 1);
         assert_eq!(x, 42);
+        let shared = AtomicU32::new(0);
+        m.store_shared(&shared, 7);
+        assert_eq!(shared.into_inner(), 7);
         assert!(m.branch(LOOP, true) && !m.branch(LOOP, false));
         for (cond, expected) in [(false, 42u32), (true, 7)] {
             let mut y = 42u32;

@@ -207,9 +207,9 @@ impl<'a> Invocation<'a> {
 
     /// The sequential reference `check` admitted, as the output of the
     /// parallel kernel it is the reference for. Only instrumented cc and
-    /// bfs fill counters; bookkeeping the references do not keep (sweeps,
-    /// directions, rounds, buckets) stays zero, and is printed for
-    /// parallel runs only.
+    /// bfs fill counters, and cc's sweep count is its number of counted
+    /// steps; bookkeeping the references do not keep (directions, rounds,
+    /// buckets) stays zero, and is printed for parallel runs only.
     fn reference(&self, graph: &KernelGraph, root: VertexId) -> KernelOutput {
         let (g, variant, counted) = (graph.csr(), self.variant, self.common.instrumented);
         let (counters, threads) = (RunCounters::default(), 1);
@@ -227,7 +227,7 @@ impl<'a> Invocation<'a> {
                 };
                 KernelOutput::Components(ParSvRun {
                     labels,
-                    sweeps: 0,
+                    sweeps: counters.num_steps(),
                     counters,
                     threads,
                 })
@@ -366,7 +366,7 @@ fn print_summary<'o>(
             let largest = run.labels.largest_component_size();
             writeln!(out, "largest component: {largest}")?;
             if observed {
-                writeln!(out, "iterations: {}", run.iterations())?;
+                writeln!(out, "iterations: {}", run.sweeps)?;
             }
             Some((&run.counters, "iteration"))
         }

@@ -5,8 +5,9 @@
 //! branch-avoiding form (paper Alg. 3), plus baselines and a hybrid.
 //!
 //! * [`sv`] — the one label-propagation sweep, written once against
-//!   [`bga_branchsim::Machine`] and generic over the discipline, plus the
-//!   fixed-point loop around it. Every entry point below runs it.
+//!   [`bga_branchsim::Machine`] and generic over the discipline and the
+//!   graph, plus the fixed-point loop around it. Every entry point below
+//!   runs it, and so does every chunk of parallel SV in `bga-parallel`.
 //! * [`sv_branch`] / [`sv_branchless`] — the plain timed kernels (the
 //!   sweep on the zero-cost [`bga_branchsim::Uncounted`] machine).
 //! * [`instrumented`] — the same sweep on [`bga_branchsim::ExecMachine`],

@@ -1,11 +1,19 @@
 //! The one Shiloach-Vishkin label-propagation sweep (paper Algorithms 2
 //! and 3) and the fixed-point loop around it.
 //!
-//! Every sequential SV entry point runs this code: the plain kernels on
-//! [`Uncounted`], the instrumented ones on an [`ExecMachine`] (so the timed
-//! program is the counted program), the hybrid by choosing the discipline
-//! before each sweep and the shortcut variant by adding a pointer-jumping
-//! pass after it.
+//! Every SV entry point runs this code. Sequentially, the plain kernels run
+//! it on [`Uncounted`], the instrumented ones on an [`ExecMachine`] (so the
+//! timed program is the counted program), the hybrid by choosing the
+//! discipline before each sweep and the shortcut variant by adding a
+//! pointer-jumping pass after it; each sweep covers `0..n`. The parallel
+//! kernels in `bga-parallel` run the same sweep over each chunk's vertex
+//! range: untallied through [`plain_sweep`], tallied on their count-only
+//! machine through [`sweep`].
+//!
+//! The labels are `AtomicU32` so that a parallel chunk may read a
+//! neighbour's label while its owner writes it. Every access is `Relaxed`,
+//! a plain `mov` on x86-64; the disassembly audit checks that no body
+//! holds a locked instruction.
 //!
 //! Two corrections relative to the printed pseudocode apply to both
 //! disciplines, so the comparison stays fair:
@@ -22,7 +30,8 @@
 //!    (Section 3.2).
 //!
 //! Branch sites (Section 4.1 identifies four static conditional branches in
-//! the branch-based kernel):
+//! the branch-based kernel). A loop-bound test is issued once per trip and
+//! once more on exit:
 //!
 //! | site | paper branch |
 //! |------|--------------|
@@ -37,7 +46,9 @@ use super::labels::ComponentLabels;
 use crate::stats::StepCounters;
 use bga_branchsim::machine::{Machine, Uncounted};
 use bga_branchsim::site::BranchSite;
-use bga_graph::CsrGraph;
+use bga_graph::{AdjacencySource, CsrGraph};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 
 /// Termination test of the outer `while change != 0` loop.
 pub const SV_WHILE: BranchSite = BranchSite::new(0, "sv.while_change");
@@ -65,7 +76,7 @@ pub(crate) fn run<M: Machine>(
     shortcut: bool,
 ) -> (ComponentLabels, usize, Vec<StepCounters>) {
     let n = graph.num_vertices();
-    let mut ccid: Vec<u32> = (0..n as u32).collect();
+    let ccid: Vec<AtomicU32> = (0..n as u32).map(AtomicU32::new).collect();
     let mut steps = Vec::new();
     let (mut sweeps, mut updates) = (0, 0);
     // while change != 0
@@ -74,13 +85,13 @@ pub(crate) fn run<M: Machine>(
         machine.alu(1); // change <- 0
         let avoid = avoiding(sweeps, updates);
         updates = match (M::COUNTS, avoid) {
-            (true, true) => sweep::<M, true>(graph, &mut ccid, machine),
-            (true, false) => sweep::<M, false>(graph, &mut ccid, machine),
-            (false, true) => plain_sweep::<true>(graph, &mut ccid),
-            (false, false) => plain_sweep::<false>(graph, &mut ccid),
+            (true, true) => sweep::<_, M, true>(graph, &ccid, 0..n, machine),
+            (true, false) => sweep::<_, M, false>(graph, &ccid, 0..n, machine),
+            (false, true) => plain_sweep::<_, true>(graph, &ccid, 0..n),
+            (false, false) => plain_sweep::<_, false>(graph, &ccid, 0..n),
         };
         if shortcut {
-            updates += jump(&mut ccid, avoid);
+            updates += jump(&ccid, avoid);
         }
         if M::COUNTS {
             steps.push(StepCounters {
@@ -93,7 +104,8 @@ pub(crate) fn run<M: Machine>(
         }
         sweeps += 1;
     }
-    (ComponentLabels::new(ccid), sweeps, steps)
+    let labels = ccid.into_iter().map(AtomicU32::into_inner).collect();
+    (ComponentLabels::new(labels), sweeps, steps)
 }
 
 /// [`run`] on the uncounted machine with one discipline throughout: the
@@ -103,62 +115,77 @@ pub(crate) fn plain(graph: &CsrGraph, avoiding: bool, shortcut: bool) -> (Compon
     (labels, sweeps)
 }
 
-/// An uncounted sweep as a symbol of its own, so the disassembly audit
-/// (`crates/parallel/scripts/sv-asm-audit.sh`) reads each discipline's
-/// timed body by name.
+/// [`sweep`] on the uncounted machine, as a symbol of its own: the timed
+/// body of every SV kernel, sequential and parallel, and the one the
+/// disassembly audit (`crates/parallel/scripts/sv-asm-audit.sh`) reads per
+/// discipline and graph type.
 #[inline(never)]
-fn plain_sweep<const AVOIDING: bool>(graph: &CsrGraph, ccid: &mut [u32]) -> u64 {
-    sweep::<Uncounted, AVOIDING>(graph, ccid, &mut Uncounted)
+pub fn plain_sweep<G: AdjacencySource, const AVOIDING: bool>(
+    graph: &G,
+    ccid: &[AtomicU32],
+    range: Range<usize>,
+) -> u64 {
+    sweep::<G, Uncounted, AVOIDING>(graph, ccid, range, &mut Uncounted)
 }
 
-/// One label-propagation sweep over every vertex. Returns the number of
-/// label updates: improvements stored (branch-based) or vertices whose
-/// label moved (branch-avoiding); either is zero iff nothing changed.
+/// One label-propagation sweep over the vertices of `range`. Returns the
+/// number of label updates: improvements stored (branch-based) or vertices
+/// whose label moved (branch-avoiding); either is zero iff nothing changed.
+///
+/// Only `ccid[v]` for `v` in `range` is written, and never above the value
+/// the sweep loaded from it, so sweeps over disjoint ranges may run
+/// concurrently on one label array: labels only decrease.
 #[inline(always)]
-fn sweep<M: Machine, const AVOIDING: bool>(graph: &CsrGraph, ccid: &mut [u32], m: &mut M) -> u64 {
+pub fn sweep<G: AdjacencySource, M: Machine, const AVOIDING: bool>(
+    graph: &G,
+    ccid: &[AtomicU32],
+    range: Range<usize>,
+    m: &mut M,
+) -> u64 {
     let mut updates = 0u64;
-    let mut v = 0;
-    while m.branch(SV_OUTER_FOR, v < ccid.len()) {
-        let cv_init = m.load(ccid[v]);
+    for v in range {
+        let label = &ccid[v];
+        m.branch(SV_OUTER_FOR, true);
+        let cv_init = m.load(label.load(Relaxed));
         let mut cv = cv_init;
-        let neighbors = graph.neighbors(v as u32);
-        let mut i = 0;
-        while m.branch(SV_INNER_FOR, i < neighbors.len()) {
-            let cu = m.load(ccid[neighbors[i] as usize]);
+        for u in graph.neighbor_cursor(v as u32) {
+            m.branch(SV_INNER_FOR, true);
+            let cu = m.load(ccid[u as usize].load(Relaxed));
             if AVOIDING {
                 m.alu(1); // CMP cu, cv
                 m.cond_move(cu < cv, &mut cv, cu);
             } else if m.branch(SV_IF, cu < cv) {
                 cv = cu;
-                m.store(&mut ccid[v], cu);
+                m.store_shared(label, cu);
                 m.alu(2); // register move + flag set
                 updates += 1;
             }
-            i += 1;
             m.alu(1); // index increment
         }
+        m.branch(SV_INNER_FOR, false);
         if AVOIDING {
-            m.store(&mut ccid[v], cv);
+            m.store_shared(label, cv);
             // Register copy of cinit, then change <- change OR (cv XOR cinit).
             m.alu(3);
             updates += (cv != cv_init) as u64;
         }
-        v += 1;
         m.alu(1); // index increment
     }
+    m.branch(SV_OUTER_FOR, false);
     updates
 }
 
 /// The shortcut's pointer-jumping pass, `CCid[v] <- CCid[CCid[v]]`, so
 /// labels travel two hops per sweep. Returns the number of labels lowered.
-fn jump(ccid: &mut [u32], avoiding: bool) -> u64 {
+fn jump(ccid: &[AtomicU32], avoiding: bool) -> u64 {
     let mut updates = 0;
-    for v in 0..ccid.len() {
-        let (label, jumped) = (ccid[v], ccid[ccid[v] as usize]);
+    for slot in ccid {
+        let label = slot.load(Relaxed);
+        let jumped = ccid[label as usize].load(Relaxed);
         // Labels only decrease along the chain, so `jumped <= label`: the
         // branch-avoiding pass stores it unconditionally.
         if avoiding || jumped < label {
-            ccid[v] = jumped;
+            slot.store(jumped, Relaxed);
         }
         updates += (jumped != label) as u64;
     }

@@ -2,35 +2,48 @@
 # Disassembly audit of the Shiloach-Vishkin sweep bodies and the
 # sequential top-down BFS bodies.
 #
-# Builds the `parallel_scaling` example in release mode, disassembles it
-# with objdump and extracts every instance of
-# `BranchAvoidingSweep::sweep_chunk::<TALLY>` and
-# `BranchBasedSweep::sweep_chunk::<TALLY>` (the parallel sweeps, each
-# compiled with its counter accounting, `<true>`, and without it,
-# `<false>`) and of the sequential kernels' uncounted bodies,
-# `cc::sv::plain_sweep<AVOIDING>` and `bfs::topdown::plain_topdown<AVOIDING>`
-# (`<true>` is the branch-avoiding discipline, `<false>` the branch-based
-# one). All are `#[inline(never)]`, so each instance has a symbol of its
-# own. The parallel sweeps rely on one writer per label (see
+# Builds the `parallel_scaling` example in release mode (it runs SV on both
+# `CsrGraph` and `CompressedCsrGraph`), disassembles it with objdump and
+# extracts, per discipline (`<false>` is Algorithm 2, branch-based, and
+# `<true>` Algorithm 3, branch-avoiding) and graph type:
+#
+# * the uncounted SV body, `cc::sv::plain_sweep<G, AVOIDING>`, which every
+#   plain SV kernel runs, sequential and parallel;
+# * the tallied parallel body, `Sweep<AVOIDING>::sweep_chunk<true>`, the
+#   same sweep inlined on the count-only `ThreadTally` machine;
+# * the untallied parallel chunk, `Sweep<AVOIDING>::sweep_chunk<false>`,
+#   which must call the uncounted body rather than hold a loop of its own;
+#
+# and the sequential top-down BFS bodies, `bfs::topdown::plain_topdown<AVOIDING>`.
+# All are `#[inline(never)]`, so each has a symbol of its own. For each
+# body it prints static instruction counts: conditional jumps, `cmov`s,
+# and instructions that load from or store to an explicit memory operand
+# (a read-modify-write such as `add [m], 1` counts as both, `cmp [m], r`
+# as a load; `lea`, `nop`, `call` and `jmp` are not counted, nor are
+# push/pop). It then lists who calls each uncounted SV body, resolving
+# calls through the GOT with the binary's relative relocations.
+#
+# The parallel sweep relies on one writer per label (see
 # crates/parallel/src/sv.rs) and the sequential bodies are single-threaded,
-# so no body may hold an atomic read-modify-write: the audit fails on any
-# `lock`-prefixed instruction, any `cmpxchg` and any `xchg` with a memory
-# operand (implicitly locked). For each body it prints static
-# instruction counts: conditional jumps, `cmov`s, and instructions that
-# load from or store to an explicit memory operand (a read-modify-write
-# such as `add [m], 1` counts as both, `cmp [m], r` as a load; `lea`,
-# `nop`, `call` and `jmp` are not counted, nor are push/pop).
+# so the audit fails when:
+#
+# * a body holds a `lock`-prefixed instruction, a `cmpxchg` or an `xchg`
+#   with a memory operand (implicitly locked);
+# * an uncounted SV body appears twice (two copies of one instance);
+# * an untallied chunk does not call its uncounted body (a re-forked
+#   parallel sweep), or no sequential `cc::sv` function calls the `CsrGraph`
+#   body;
+# * one of the 12 SV bodies (2 disciplines x 2 graph types x uncounted,
+#   tallied and untallied chunk) or the 2 BFS bodies is missing.
 #
 #   crates/parallel/scripts/sv-asm-audit.sh
 #
-# The build uses v0 symbol mangling, so the demangled names keep the
-# `TALLY` const parameter, in a target directory of its own
-# (target/sv-asm-audit) so the main build cache stays valid.
+# The build uses v0 symbol mangling, so the demangled names keep the const
+# parameters, in a target directory of its own (target/sv-asm-audit) so
+# the main build cache stays valid.
 #
 # Exit status: 0 when the audit passes (or the host is not x86-64, where
-# it is skipped), 1 when a body is locked or one of the four parallel
-# bodies (two disciplines, each tallied and untallied) or of the four
-# sequential bodies was not found, 2 when the build or objdump fails.
+# it is skipped), 1 when it fails, 2 when the build or objdump fails.
 set -euo pipefail
 
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/../../.." && pwd)"
@@ -49,99 +62,184 @@ if ! RUSTFLAGS="${RUSTFLAGS:-} -C symbol-mangling-version=v0" \
 fi
 binary="$target/release/examples/parallel_scaling"
 
-if ! listing="$(objdump -d --demangle --no-show-raw-insn -M intel "$binary")"; then
+if ! listing="$(objdump -d --demangle --no-show-raw-insn -M intel "$binary")" ||
+    ! relocs="$(objdump -R "$binary")"; then
     echo "sv-asm-audit: objdump failed on $binary" >&2
     exit 2
 fi
 
 awk '
+# First input: the dynamic relocations. A GOT slot holding a function
+# address is "<slot> R_X86_64_RELATIVE *ABS*+0x<address>".
+FNR == NR {
+    if ($2 == "R_X86_64_RELATIVE" && $3 ~ /^\*ABS\*\+0x/) {
+        target = $3
+        sub(/^\*ABS\*\+0x0*/, "", target)
+        slot = $1
+        sub(/^0+/, "", slot)
+        got[slot] = target
+    }
+    next
+}
 # A function header: "<address> <<name>>:".
 /^[0-9a-f]+ <.*>:$/ {
     name = $0
     sub(/^[0-9a-f]+ </, "", name)
     sub(/>:$/, "", name)
-    body = (name ~ /Branch(Avoiding|Based)Sweep as .*>::sweep_chunk::<(true|false)>$/)
-    if (name ~ /^bga_kernels::(cc::sv::plain_sweep|bfs::topdown::plain_topdown)::<(true|false)>$/) {
-        # "bga_kernels::cc::sv::plain_sweep::<true>" -> "cc::sv::plain_sweep<true>".
-        short = name
-        sub(/^bga_kernels::/, "", short)
-        sub(/::</, "<", short)
-        order[++bodies] = short
-        sequential++
-        body = 1
-    } else if (body) {
-        # "<...::BranchAvoidingSweep as ...SweepKernel<...::CsrGraph>>
-        # ::sweep_chunk::<false>" -> "BranchAvoidingSweep<false> on CsrGraph".
+    address = $1
+    sub(/^0+/, "", address)
+    body = ""
+    caller = ""
+    if (name ~ /^bga_kernels::cc::sv::plain_sweep::<.*, (true|false)>$/) {
+        # "bga_kernels::cc::sv::plain_sweep::<bga_graph::csr::CsrGraph, true>"
+        # -> "cc::sv::plain_sweep<CsrGraph, true>".
+        body = name
+        sub(/^bga_kernels::/, "", body)
+        sub(/::</, "<", body)
+        gsub(/[a-z_0-9]+::/, "", body)
+        body = "cc::sv::" body
+        if (body in plain) {
+            copies[body]++
+        } else {
+            plain[body] = address
+            order[++bodies] = body
+        }
+    } else if (name ~ /^<bga_parallel::sv::Sweep<(true|false)> as .*SweepKernel<.*>>::sweep_chunk::<(true|false)>$/) {
+        # "<bga_parallel::sv::Sweep<true> as ...SweepKernel<...::CsrGraph>>
+        # ::sweep_chunk::<false>" -> "Sweep<true>::sweep_chunk<false> on CsrGraph".
         tally = name
         sub(/^.*::sweep_chunk::/, "", tally)
-        short = name
-        sub(/^<bga_parallel::sv::/, "", short)
-        sub(/ as .*SweepKernel</, tally " on ", short)
-        sub(/>>::sweep_chunk::<(true|false)>$/, "", short)
-        gsub(/[a-z_0-9]+::/, "", short)
-        order[++bodies] = short
-        # Count each discipline/TALLY pair once, whatever the graph type.
-        kind = short
-        sub(/ on .*$/, "", kind)
-        if (!(kind in kinds)) {
-            kinds[kind] = 1
-            parallel++
-        }
+        graph = name
+        sub(/^.*SweepKernel</, "", graph)
+        sub(/>>::sweep_chunk::<(true|false)>$/, "", graph)
+        gsub(/[a-z_0-9]+::/, "", graph)
+        discipline = name
+        sub(/^<bga_parallel::sv::Sweep/, "", discipline)
+        sub(/ as .*$/, "", discipline)
+        body = "Sweep" discipline "::sweep_chunk" tally " on " graph
+        order[++bodies] = body
+        # The untallied chunk is checked for its call to the uncounted body.
+        if (tally == "<false>") caller = body
+    } else if (name ~ /^bga_kernels::(bfs::topdown::plain_topdown)::<(true|false)>$/) {
+        body = name
+        sub(/^bga_kernels::/, "", body)
+        sub(/::</, "<", body)
+        order[++bodies] = body
+    } else if (name ~ /^bga_kernels::cc::/) {
+        caller = name
+        sub(/^bga_kernels::/, "", caller)
     }
     next
 }
-/^$/ { body = 0; next }
-body && /^ +[0-9a-f]+:\t/ {
+/^$/ { body = ""; caller = ""; next }
+(body != "" || caller != "") && /^ +[0-9a-f]+:\t/ {
     # "  <address>:\t<mnemonic> <operands>" -> mnemonic and operands.
     insn = $0
     sub(/^ +[0-9a-f]+:\t/, "", insn)
+    comment = ""
+    if (insn ~ / +# [0-9a-f]+/) {
+        comment = insn
+        sub(/^.* +# /, "", comment)
+        sub(/ .*$/, "", comment)
+    }
     sub(/ +#.*$/, "", insn)
     split(insn, parts, /[ \t]+/)
     mnemonic = parts[1]
     operands = insn
     sub(/^[^ \t]+[ \t]*/, "", operands)
+    if (caller != "") {
+        # A direct call/jump target, or a GOT slot named in the comment.
+        direct = operands
+        sub(/ .*$/, "", direct)
+        sub(/^0+/, "", direct)
+        slot = comment
+        sub(/^0+/, "", slot)
+        calls[caller] = calls[caller] " " direct " " (slot in got ? got[slot] : "")
+    }
+    if (body == "") next
     if (mnemonic == "lock") {
-        locked[short]++
+        locked[body]++
         mnemonic = parts[2]
         operands = insn
         sub(/^lock[ \t]+[^ \t]+[ \t]*/, "", operands)
     }
     if (mnemonic == "int3") next
-    insns[short]++
-    if (mnemonic ~ /cmpxchg/ || (mnemonic == "xchg" && operands ~ /\[/)) locked[short]++
-    if (mnemonic ~ /^j/ && mnemonic != "jmp") jcc[short]++
-    if (mnemonic ~ /^cmov/) cmov[short]++
+    insns[body]++
+    if (mnemonic ~ /cmpxchg/ || (mnemonic == "xchg" && operands ~ /\[/)) locked[body]++
+    if (mnemonic ~ /^j/ && mnemonic != "jmp") jcc[body]++
+    if (mnemonic ~ /^cmov/) cmov[body]++
     if (operands ~ /\[/ && mnemonic !~ /^(lea|nop|call|jmp)/) {
         split(operands, ops, ",")
         if (ops[1] !~ /\[/ || mnemonic ~ /^(cmp|test|bt)$/) {
-            loads[short]++
+            loads[body]++
         } else {
-            stores[short]++
+            stores[body]++
             # Only a plain move to memory writes without reading it.
-            if (mnemonic !~ /^mov/) loads[short]++
+            if (mnemonic !~ /^mov/) loads[body]++
         }
     }
 }
 END {
-    if (parallel < 4) {
-        print "sv-asm-audit: found " parallel " of the 4 parallel BranchAvoidingSweep/BranchBasedSweep sweep_chunk::<TALLY> bodies" > "/dev/stderr"
-        exit 1
-    }
-    if (sequential < 4) {
-        print "sv-asm-audit: found " sequential " of the 4 sequential plain_sweep/plain_topdown bodies" > "/dev/stderr"
-        exit 1
-    }
-    printf "%-40s %6s %5s %5s %6s %7s %7s\n", "body", "insns", "jcc", "cmov", "loads", "stores", "locked"
     failed = 0
+    printf "%-56s %6s %5s %5s %6s %7s %7s\n", "body", "insns", "jcc", "cmov", "loads", "stores", "locked"
     for (i = 1; i <= bodies; i++) {
         b = order[i]
-        printf "%-40s %6d %5d %5d %6d %7d %7d\n", b, insns[b], jcc[b], cmov[b], loads[b], stores[b], locked[b]
-        if (locked[b] > 0) failed = 1
+        printf "%-56s %6d %5d %5d %6d %7d %7d\n", b, insns[b], jcc[b], cmov[b], loads[b], stores[b], locked[b]
+        if (locked[b] > 0) {
+            print "sv-asm-audit: FAIL, " b " holds a locked read-modify-write" > "/dev/stderr"
+            failed = 1
+        }
     }
-    if (failed) {
-        print "sv-asm-audit: FAIL, a body holds a locked read-modify-write" > "/dev/stderr"
-        exit 1
+    print ""
+    for (b in plain) {
+        if (copies[b] > 0) {
+            print "sv-asm-audit: FAIL, " b " has " copies[b] + 1 " copies" > "/dev/stderr"
+            failed = 1
+        }
     }
-    print "sv-asm-audit: ok, no lock prefix, cmpxchg or memory xchg in any body"
+    expected = 0
+    for (g = 0; g < 2; g++) {
+        graph = g ? "CompressedCsrGraph" : "CsrGraph"
+        for (a = 0; a < 2; a++) {
+            discipline = a ? "true" : "false"
+            target = "cc::sv::plain_sweep<" graph ", " discipline ">"
+            callers = ""
+            for (c in calls) {
+                if (target in plain && index(calls[c] " ", " " plain[target] " ")) {
+                    callers = callers (callers == "" ? "" : ", ") c
+                }
+            }
+            printf "%-56s called by %s\n", target, (callers == "" ? "nobody" : callers)
+            if (!(target in plain)) {
+                print "sv-asm-audit: FAIL, " target " not found" > "/dev/stderr"
+                failed = 1
+            }
+            for (t = 0; t < 2; t++) {
+                chunk = "Sweep<" discipline ">::sweep_chunk<" (t ? "true" : "false") "> on " graph
+                if (!(chunk in insns)) {
+                    print "sv-asm-audit: FAIL, " chunk " not found" > "/dev/stderr"
+                    failed = 1
+                }
+            }
+            chunk = "Sweep<" discipline ">::sweep_chunk<false> on " graph
+            if (chunk in insns && !index(callers, chunk)) {
+                print "sv-asm-audit: FAIL, " chunk " does not call " target ": a second uncounted SV body" > "/dev/stderr"
+                failed = 1
+            }
+            if (graph == "CsrGraph" && callers !~ /(^|, )cc::/) {
+                print "sv-asm-audit: FAIL, no sequential cc:: kernel calls " target > "/dev/stderr"
+                failed = 1
+            }
+        }
+    }
+    for (a = 0; a < 2; a++) {
+        b = "bfs::topdown::plain_topdown<" (a ? "true" : "false") ">"
+        if (!(b in insns)) {
+            print "sv-asm-audit: FAIL, " b " not found" > "/dev/stderr"
+            failed = 1
+        }
+    }
+    if (failed) exit 1
+    print "sv-asm-audit: ok, one uncounted SV body per discipline and graph type, no lock prefix, cmpxchg or memory xchg in any body"
 }
-' <<<"$listing"
+' <(printf '%s\n' "$relocs") <(printf '%s\n' "$listing")

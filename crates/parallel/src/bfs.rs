@@ -49,25 +49,6 @@ use std::sync::atomic::Ordering::Relaxed;
 
 pub use crate::engine::Direction;
 
-/// Result of an instrumented parallel BFS run.
-#[derive(Clone, Debug)]
-pub struct ParBfsRun {
-    /// Distances and discovery order (distances match the sequential
-    /// kernels; order is one valid BFS order).
-    pub result: BfsResult,
-    /// Per-level counters merged across worker threads.
-    pub counters: RunCounters,
-    /// Worker count the run actually used.
-    pub threads: usize,
-}
-
-impl ParBfsRun {
-    /// Number of BFS levels traversed.
-    pub fn levels(&self) -> usize {
-        self.counters.num_steps()
-    }
-}
-
 /// Result of a parallel direction-optimizing BFS run.
 #[derive(Clone, Debug)]
 pub struct ParDirBfsRun {

@@ -1,11 +1,14 @@
 //! Per-thread counter accounting for instrumented parallel runs.
 //!
 //! The sequential instrumented kernels route every operation through
-//! [`bga_branchsim::ExecMachine`], which is inherently single-threaded. The
-//! parallel kernels instead have each worker tally the operations it
-//! actually executes into a thread-local [`StepCounters`]; the per-thread
-//! tallies for one sweep/level are then merged into a single step and fed
-//! into the same [`RunCounters`] series the figures and reports consume.
+//! [`bga_branchsim::ExecMachine`], which is inherently single-threaded. A
+//! parallel chunk instead accumulates the operations it actually executes
+//! into a [`ThreadTally`] of its own; the per-chunk tallies of one
+//! sweep/level are then merged into a single step and fed into the same
+//! [`RunCounters`] series the figures and reports consume. Shiloach-Vishkin
+//! runs the kernels crate's sweep body on the tally, which implements
+//! [`Machine`] as a count-only machine; the BFS, SSSP, Brandes and k-core
+//! chunk bodies still add to the tally's fields by hand.
 //! The tallies are accumulated inside pool chunks and returned through
 //! [`crate::pool::Execute::run`] in chunk order, so merging is
 //! deterministic regardless of which worker ran which chunk. The same
@@ -20,7 +23,8 @@
 //! count, and zero for the branch-avoiding kernels whose remaining loop
 //! branches are asymptotically perfectly predicted.
 
-use bga_branchsim::PerfCounters;
+use bga_branchsim::{BranchSite, Machine, PerfCounters};
+use bga_kernels::cc::sv::{SV_INNER_FOR, SV_OUTER_FOR};
 use bga_kernels::stats::{RunCounters, StepCounters};
 
 /// Operation tally one worker accumulates over one sweep/level.
@@ -67,6 +71,64 @@ impl ThreadTally {
             vertices_processed: self.vertices,
             updates: self.updates,
         }
+    }
+}
+
+/// The count-only machine a tallied chunk runs a kernel body on: every
+/// operation is the bare operation plus one count, with no predictor, and
+/// ALU work is not counted. A taken `for v` / `for u` test of the SV sweep
+/// ([`SV_OUTER_FOR`] / [`SV_INNER_FOR`]) is one vertex / edge; any other
+/// branch is data-dependent, and an update when taken. A conditional move
+/// that selects its source is an update too, so both disciplines count
+/// updates per edge.
+impl Machine for ThreadTally {
+    const COUNTS: bool = true;
+
+    #[inline(always)]
+    fn load<T>(&mut self, value: T) -> T {
+        self.loads += 1;
+        value
+    }
+
+    #[inline(always)]
+    fn store<T>(&mut self, slot: &mut T, value: T) {
+        self.stores += 1;
+        *slot = value;
+    }
+
+    #[inline(always)]
+    fn alu(&mut self, _n: u64) {}
+
+    #[inline(always)]
+    fn branch(&mut self, site: BranchSite, condition: bool) -> bool {
+        let taken = u64::from(condition);
+        self.branches += 1;
+        if site == SV_OUTER_FOR {
+            self.vertices += taken;
+        } else if site == SV_INNER_FOR {
+            self.edges += taken;
+        } else {
+            self.data_branches += 1;
+            self.updates += taken;
+        }
+        condition
+    }
+
+    #[inline(always)]
+    fn cond_move(&mut self, condition: bool, dst: &mut u32, src: u32) {
+        self.conditional_moves += 1;
+        self.updates += u64::from(condition);
+        *dst = if condition { src } else { *dst };
+    }
+
+    #[inline(always)]
+    fn cond_add(&mut self, condition: bool, dst: &mut u64, delta: u64) {
+        self.conditional_moves += 1;
+        *dst += if condition { delta } else { 0 };
+    }
+
+    fn counters(&self) -> PerfCounters {
+        self.into_step(0).counters
     }
 }
 

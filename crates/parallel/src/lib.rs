@@ -131,7 +131,7 @@ pub use auto::{AutoSwitch, SwitchNotice};
 pub use request::{BfsStrategy, KernelOutput, KernelRequest, RequestError, RunConfig, Variant};
 
 pub use bc::{BcVariant, ParBcRun};
-pub use bfs::{Direction, ParBfsRun, ParDirBfsRun};
+pub use bfs::{Direction, ParDirBfsRun};
 pub use bitmap::{bitmap_from_frontier, par_fill_bitmap, Bitmap};
 pub use cancel::{CancelToken, InterruptReason, RunOutcome};
 pub use counters::{merge_thread_steps, ThreadTally};

@@ -1,24 +1,26 @@
 //! Parallel Shiloach-Vishkin connected components.
 //!
-//! Each chunk runs the paper's sequential sweep body unchanged, because
-//! [`SweepLoop`] hands every chunk a disjoint vertex range: within a sweep,
-//! only the chunk that owns `v` ever writes `ccid[v]`. No label update
-//! needs a read-modify-write. The labels are `AtomicU32` only so that a
-//! chunk may read a neighbour label another chunk is writing; `Relaxed`
-//! loads and stores compile to plain `mov`s on x86-64. The two
-//! disciplines keep the sequential kernels' contrast:
+//! Each chunk runs the sequential kernels' sweep body,
+//! [`bga_kernels::cc::sv::sweep`], over its own vertex range: the paper's
+//! Algorithm 2 or 3 is written once, and the parallel run times the same
+//! machine code as the sequential one. Because [`SweepLoop`] hands every
+//! chunk a disjoint vertex range, only the chunk that owns `v` ever writes
+//! `ccid[v]` within a sweep, so no label update needs a read-modify-write.
+//! The labels are `AtomicU32` only so that a chunk may read a neighbour
+//! label another chunk is writing; `Relaxed` loads and stores compile to
+//! plain `mov`s on x86-64. The variants:
 //!
 //! * branch-based (`Variant::BranchBased`, Algorithm 2) — hold `cv` in a
 //!   register, load each neighbour label and **branch** on `cu < cv`; the
 //!   taken side moves the register and stores it to `ccid[v]`.
 //! * branch-avoiding (`Variant::BranchAvoiding`, Algorithm 3) — fold each
-//!   neighbour label into the register with a branch-free `min`, store the
-//!   register once per vertex and accumulate `change |= cv ^ cv_init`.
+//!   neighbour label into the register with a conditional move, store the
+//!   register once per vertex and count the vertices whose label moved.
 //! * adaptive (`Variant::Auto`) — sample the first sweeps branch-based
 //!   with tallying on, then hot-switch to whichever discipline the perf
 //!   model's advisor predicts faster ([`crate::auto::AutoSwitch`]).
 //!
-//! Why `Relaxed` is enough, for both kernels:
+//! Why `Relaxed` is enough, for both disciplines:
 //!
 //! * **One writer per label.** `ccid[v]` is written only by the chunk that
 //!   owns `v` (the [`SweepKernel::sweep_chunk`] contract), so no store can
@@ -33,16 +35,16 @@
 //!   wrote back the values it read, so the labels it read were the labels
 //!   at the end of the sweep, and no edge joins two different labels.
 //!
-//! Both are thin clients of the engine's [`SweepLoop`]
-//! (see [`crate::engine`]), which owns the edge-balanced chunking, the
-//! sweep-until-fixpoint driver and the per-sweep tallies; the two
-//! [`SweepKernel`]s below supply only the per-edge hooking discipline,
-//! with a `TALLY` const method parameter that compiles the counter
-//! accounting in or out. Labels decrease monotonically towards the per-component
-//! minimum vertex id — the same unique fixed point the sequential kernels
-//! converge to — so the **final labels are identical to the sequential
-//! result for every thread count**, even though the number of sweeps and
-//! the intra-sweep interleaving may differ.
+//! The kernel is a thin client of the engine's [`SweepLoop`] (see
+//! [`crate::engine`]), which owns the edge-balanced chunking, the
+//! sweep-until-fixpoint driver and the per-sweep tallies. An untallied
+//! chunk calls the uncounted body, [`plain_sweep`]; a tallied chunk runs
+//! [`sweep`] on its [`ThreadTally`], the count-only machine, which counts
+//! every operation the body issues, loop-exit tests included. Labels
+//! converge to the per-component minimum vertex id, the sequential
+//! kernels' unique fixed point, so the **final labels are identical to the
+//! sequential result for every thread count**, even though the number of
+//! sweeps and the intra-sweep interleaving may differ.
 
 use crate::auto::AutoSwitch;
 use crate::cancel::RunOutcome;
@@ -51,11 +53,12 @@ use crate::engine::{PhaseHooks, SweepKernel, SweepLoop};
 use crate::request::{ExecutorAxis, RunConfig, Variant};
 use crate::trace::{run_footprint, RunScope};
 use bga_graph::AdjacencySource;
+use bga_kernels::cc::sv::{plain_sweep, sweep};
 use bga_kernels::cc::ComponentLabels;
 use bga_kernels::stats::RunCounters;
 use bga_obs::{TraceEvent, TraceSink};
 use std::ops::Range;
-use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
+use std::sync::atomic::AtomicU32;
 
 /// Result of a parallel SV run.
 #[derive(Clone, Debug)]
@@ -72,38 +75,18 @@ pub struct ParSvRun {
     pub threads: usize,
 }
 
-impl ParSvRun {
-    /// Number of sweeps the algorithm executed.
-    pub fn iterations(&self) -> usize {
-        self.counters.num_steps()
-    }
-}
-
-fn identity_labels(n: usize) -> Vec<AtomicU32> {
-    (0..n as u32).map(AtomicU32::new).collect()
-}
-
-fn into_labels(ccid: Vec<AtomicU32>) -> ComponentLabels {
-    ComponentLabels::new(ccid.into_iter().map(AtomicU32::into_inner).collect())
-}
-
-/// Algorithm 2 over a borrowed label array: the branch-based sweep kernel.
-///
-/// The running minimum `cv` lives in a register; `ccid[v]` is stored only
-/// on the taken side of `cu < cv`, so every store is below the owner's
-/// load of `ccid[v]` and a plain `Relaxed` store cannot lose a race (see
-/// the module docs). Per sweep it loads |V| + |E| labels and stores once
-/// per update.
-struct BranchBasedSweep<'a> {
+/// The SV sweep kernel over a borrowed label array, in the discipline
+/// `AVOIDING` selects: Algorithm 3 when set, Algorithm 2 otherwise.
+struct Sweep<'a, const AVOIDING: bool> {
     ccid: &'a [AtomicU32],
 }
 
-impl PhaseHooks for BranchBasedSweep<'_> {}
+impl<const AVOIDING: bool> PhaseHooks for Sweep<'_, AVOIDING> {}
 
-impl<G: AdjacencySource> SweepKernel<G> for BranchBasedSweep<'_> {
+impl<G: AdjacencySource, const AVOIDING: bool> SweepKernel<G> for Sweep<'_, AVOIDING> {
     // Out of line so the disassembly audit
-    // (`crates/parallel/scripts/sv-asm-audit.sh`) finds the body under its
-    // own symbol; it is called once per chunk.
+    // (`crates/parallel/scripts/sv-asm-audit.sh`) finds the tallied body
+    // under its own symbol, and the untallied call to `plain_sweep`.
     #[inline(never)]
     fn sweep_chunk<const TALLY: bool>(
         &self,
@@ -111,92 +94,12 @@ impl<G: AdjacencySource> SweepKernel<G> for BranchBasedSweep<'_> {
         range: Range<usize>,
         tally: &mut ThreadTally,
     ) -> bool {
-        let mut changed = false;
-        for v in range {
-            let mut cv = self.ccid[v].load(Relaxed);
-            if TALLY {
-                tally.vertices += 1;
-                tally.loads += 1;
-                tally.branches += 1; // outer-loop bound
-            }
-            for u in graph.neighbor_cursor(v as u32) {
-                let cu = self.ccid[u as usize].load(Relaxed);
-                if TALLY {
-                    tally.edges += 1;
-                    tally.loads += 1;
-                    tally.branches += 2; // inner-loop bound + `cu < cv`
-                    tally.data_branches += 1;
-                }
-                // The data-dependent branch the paper contrasts.
-                if cu < cv {
-                    cv = cu;
-                    self.ccid[v].store(cu, Relaxed);
-                    changed = true;
-                    if TALLY {
-                        tally.stores += 1;
-                        tally.updates += 1;
-                    }
-                }
-            }
-        }
-        changed
-    }
-}
-
-/// Algorithm 3 over a borrowed label array: the branch-avoiding sweep
-/// kernel.
-///
-/// Each neighbour label is folded into the register `cv` with a
-/// branch-free `min`, and `ccid[v]` is stored once per vertex. The store
-/// is never above the owner's load `cv_init`, and in a sweep with no change
-/// it writes back exactly `cv_init`, so plain `Relaxed` ops keep labels
-/// monotone and fixpoint detection exact (see the module docs). Per sweep
-/// it loads |V| + |E| labels, does |E| conditional moves and stores |V|
-/// times.
-struct BranchAvoidingSweep<'a> {
-    ccid: &'a [AtomicU32],
-}
-
-impl PhaseHooks for BranchAvoidingSweep<'_> {}
-
-impl<G: AdjacencySource> SweepKernel<G> for BranchAvoidingSweep<'_> {
-    // Out of line for the disassembly audit, as above.
-    #[inline(never)]
-    fn sweep_chunk<const TALLY: bool>(
-        &self,
-        graph: &G,
-        range: Range<usize>,
-        tally: &mut ThreadTally,
-    ) -> bool {
-        let mut change = 0u32;
-        for v in range {
-            let cv_init = self.ccid[v].load(Relaxed);
-            let mut cv = cv_init;
-            for u in graph.neighbor_cursor(v as u32) {
-                let cu = self.ccid[u as usize].load(Relaxed);
-                if TALLY {
-                    // Counted against the register, like the branch-based
-                    // kernel's updates, so the update ratio stays per edge.
-                    tally.updates += u64::from(cu < cv);
-                    tally.edges += 1;
-                    tally.loads += 1;
-                    tally.conditional_moves += 1;
-                    tally.branches += 1; // inner-loop bound only
-                }
-                cv = cv.min(cu);
-            }
-            // One unconditional store per vertex, and a branch-free change
-            // accumulation: non-zero iff some label moved.
-            self.ccid[v].store(cv, Relaxed);
-            change |= cv ^ cv_init;
-            if TALLY {
-                tally.vertices += 1;
-                tally.loads += 1;
-                tally.stores += 1;
-                tally.branches += 1; // outer-loop bound
-            }
-        }
-        change != 0
+        let updates = if TALLY {
+            sweep::<G, ThreadTally, AVOIDING>(graph, self.ccid, range, tally)
+        } else {
+            plain_sweep::<G, AVOIDING>(graph, self.ccid, range)
+        };
+        updates != 0
     }
 }
 
@@ -221,20 +124,14 @@ pub(crate) fn run_request<G: AdjacencySource, S: TraceSink, X: ExecutorAxis>(
         root: None,
         footprint: Some(run_footprint(graph.footprint())),
     });
-    let ccid: Vec<AtomicU32> = match initial {
-        Some(labels) => labels
-            .as_slice()
-            .iter()
-            .copied()
-            .map(AtomicU32::new)
-            .collect(),
-        None => identity_labels(graph.num_vertices()),
-    };
+    let ccid: Vec<AtomicU32> = (0..graph.num_vertices() as u32)
+        .map(|v| AtomicU32::new(initial.map_or(v, |labels| labels.label(v))))
+        .collect();
     let sweep_loop = SweepLoop::new(graph, scope.exec(), scope.grain, scope.tally);
     let (sink, cancel) = (scope.sink(), scope.cancel);
     let (based, avoiding) = (
-        BranchBasedSweep { ccid: &ccid },
-        BranchAvoidingSweep { ccid: &ccid },
+        Sweep::<false> { ccid: &ccid },
+        Sweep::<true> { ccid: &ccid },
     );
     let (run, outcome) = match variant {
         Variant::BranchAvoiding => sweep_loop.run(&avoiding, sink, cancel),
@@ -243,7 +140,7 @@ pub(crate) fn run_request<G: AdjacencySource, S: TraceSink, X: ExecutorAxis>(
     };
     scope.close(&outcome);
     let result = ParSvRun {
-        labels: into_labels(ccid),
+        labels: ComponentLabels::new(ccid.into_iter().map(AtomicU32::into_inner).collect()),
         sweeps: run.sweeps,
         counters: run.counters,
         threads: scope.threads(),
@@ -486,9 +383,11 @@ mod tests {
                 // register, exactly like the branch-based Algorithm 2.
                 assert_eq!(par.edges_traversed, based.edges_traversed, "{at}");
                 assert_eq!(par.updates, based.updates, "{at}");
-                // Memory traffic equals the same-discipline sequential
-                // kernel's: |V| + |E| loads either way; one store per
-                // update (Alg. 2) or per vertex (Alg. 3), plus |E| moves.
+                // One chunk runs the sequential body over 0..n, so loads,
+                // stores, moves and branches equal the same-discipline
+                // sequential kernel's: |V| + |E| loads either way; one store
+                // per update (Alg. 2) or per vertex (Alg. 3), plus |E| moves.
+                assert_eq!(par.counters.branches, seq.counters.branches, "{at}");
                 assert_eq!(par.counters.loads, seq.counters.loads, "{at}");
                 assert_eq!(par.counters.loads, n + m, "{at}");
                 assert_eq!(par.counters.stores, seq.counters.stores, "{at}");
@@ -555,19 +454,26 @@ mod tests {
         // Per sweep, the branch-based kernel executes one data-dependent
         // branch per edge and stores once per update; the branch-avoiding
         // kernel replaces the branch with one conditional move per edge and
-        // stores once per vertex. Thread count moves neither count.
+        // stores once per vertex. Both test each loop bound once per trip
+        // and once more on exit: n + chunks `for v` tests and m + n `for u`
+        // tests. Thread count moves no count but the chunks' exit tests.
         let g = erdos_renyi_gnp(1_500, 0.004, 21);
         let (n, m) = (g.num_vertices() as u64, g.num_edge_slots() as u64);
-        let cfg = RunConfig::new().threads(4).instrumented(true);
+        // Grain 1: one chunk per thread.
+        let (threads, chunks) = (4, 4);
+        let cfg = RunConfig::new()
+            .threads(threads)
+            .grain(1)
+            .instrumented(true);
         let based = run_components(&g, Variant::BranchBased, &cfg).0;
         let avoiding = run_components(&g, Variant::BranchAvoiding, &cfg).0;
         for step in &based.counters.steps {
-            assert_eq!(step.counters.branches, n + 2 * m);
+            assert_eq!(step.counters.branches, 2 * n + 2 * m + chunks);
             assert_eq!(step.counters.stores, step.updates);
             assert_eq!(step.counters.conditional_moves, 0);
         }
         for step in &avoiding.counters.steps {
-            assert_eq!(step.counters.branches, n + m);
+            assert_eq!(step.counters.branches, 2 * n + m + chunks);
             assert_eq!(step.counters.stores, n);
             assert_eq!(step.counters.conditional_moves, m);
             assert_eq!(step.counters.branch_mispredictions, 0);

@@ -2,19 +2,20 @@
 //!
 //! Generates a mid-sized power-law graph and a mesh, runs both parallel SV
 //! disciplines (Algorithm 2's branch vs Algorithm 3's register `min`, one
-//! writer per label in both) and both parallel BFS
-//! variants at increasing thread counts, and prints per-configuration
-//! timings plus the speedup over the single-threaded run. Results are
-//! verified against the sequential kernel of the same discipline on every
-//! configuration, so the printed numbers are always numbers for *correct*
-//! runs (and the binary links all four sequential kernels, which the SV
-//! disassembly audit reads).
+//! writer per label in both; Algorithm 3 on the compressed graph too) and
+//! both parallel BFS variants at increasing thread counts, and prints
+//! per-configuration timings plus the speedup over the single-threaded run.
+//! Results are verified against the sequential kernel of the same
+//! discipline on every configuration, so the printed numbers are always
+//! numbers for *correct* runs. The binary links the sequential kernels and
+//! the parallel SV kernel on both graph types, which is what the SV
+//! disassembly audit reads.
 //!
 //! Run with: `cargo run --release --example parallel_scaling`
 
 use branch_avoiding_graphs::graph::generators::{barabasi_albert, grid_2d, MeshStencil};
 use branch_avoiding_graphs::graph::transform::relabel_random;
-use branch_avoiding_graphs::graph::CsrGraph;
+use branch_avoiding_graphs::graph::{CompressedCsrGraph, CsrGraph};
 use branch_avoiding_graphs::kernels::bfs::direction_optimizing::DirectionConfig;
 use branch_avoiding_graphs::kernels::bfs::{bfs_branch_avoiding, bfs_branch_based};
 use branch_avoiding_graphs::kernels::cc::{sv_branch_avoiding, sv_branch_based};
@@ -98,6 +99,20 @@ fn main() {
                 sv_avoid_base = ms;
             }
             report("sv cmov min (Alg. 3)", threads, ms, sv_avoid_base);
+        }
+        let compressed = CompressedCsrGraph::from_csr(graph);
+        let mut sv_compressed_base = 0.0;
+        for &threads in &thread_counts {
+            let (labels, ms) = time_ms(|| {
+                run_components(&compressed, Variant::BranchAvoiding, &cfg(threads))
+                    .0
+                    .labels
+            });
+            assert_eq!(labels.as_slice(), seq_avoiding_labels.as_slice());
+            if threads == 1 {
+                sv_compressed_base = ms;
+            }
+            report("sv cmov min, compressed", threads, ms, sv_compressed_base);
         }
         for &threads in &thread_counts {
             let (result, ms) = time_ms(|| {

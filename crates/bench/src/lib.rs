@@ -1,11 +1,13 @@
 //! # bga-bench
 //!
-//! Experiment harness for the *Branch-Avoiding Graph Algorithms*
+//! The figure harness of the *Branch-Avoiding Graph Algorithms*
 //! reproduction. The binaries in `src/bin/` regenerate every table and
-//! figure of the paper's evaluation, one binary per experiment, named after
-//! it (`fig3_sv_time`, `table2_graphs`, ...), with the figure it
-//! regenerates in its module doc; this library holds the plumbing they share: suite construction,
-//! paired instrumented runs, and CSV/table printing.
+//! figure of the paper's evaluation from the simulated branch model, one
+//! binary per experiment, named after it (`fig3_sv_time`, `table2_graphs`,
+//! ...), with the figure it regenerates in its module doc; this library
+//! holds the plumbing they share: suite construction, paired instrumented
+//! runs, and CSV/table printing. Wall-clock timing is not done here: the
+//! repo's one timing harness is `benchmark/`.
 //!
 //! All binaries accept the `BGA_SUITE_SCALE` environment variable
 //! (`small`, the default, or `full`) and `BGA_SEED` (default 42).

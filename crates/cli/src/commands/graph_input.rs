@@ -77,8 +77,9 @@ pub fn load_graph(spec: &str) -> Result<CsrGraph, String> {
         GraphFormat::Metis => read_metis(path),
         GraphFormat::EdgeList => read_edge_list(path),
         // The kernel subcommands run the Vec CSR; decoding up front keeps
-        // every variant (incl. the sequential kernels) available. Run
-        // `bga experiment scaling` for the compressed execution path.
+        // every variant (incl. the sequential kernels) available.
+        // `bga serve --compressed` and `examples/parallel_scaling` run the
+        // compressed execution path.
         GraphFormat::Compressed => read_compressed_binary_file(path).map(|g| g.to_csr()),
     };
     result.map_err(|e| format!("failed to read {spec}: {e}"))

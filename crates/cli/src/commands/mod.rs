@@ -1,8 +1,6 @@
 //! Subcommand dispatch for the `bga` binary.
 
-mod bench_compare;
 mod common_args;
-mod experiment;
 mod generate;
 mod graph_convert;
 mod graph_input;
@@ -68,8 +66,6 @@ pub(crate) fn check_deadline(outcome: &RunOutcome) -> Result<(), CliError> {
 pub const USAGE: &str = "usage:
   bga generate <path|cycle|star|complete|tree|gnp|gnm|ba|ws|grid2d|grid3d|rmat> <args..> [--seed S] <out.metis>
   bga <cc|bfs|bc|kcore|sssp> <graph> [--variant V] [--threads N] [--instrumented] [--trace FILE] [--timeout-ms T] [kernel flags]
-  bga experiment <table1|table2|suite-summary|scaling [--json]>
-  bga bench compare <old1.json> [<old2.json>...] <new.json> [--threshold PCT] [--fail-on-regression]
   bga trace <report|validate> <trace.jsonl>
   bga graph convert <in> <out>
   bga serve <graph> [--addr HOST:PORT] [--threads N] [--cache N] [--compressed]
@@ -114,17 +110,12 @@ the graph file's own weights (u v w edge lists, edge-weighted METIS);
 --delta D picks the bucket width, and with --threads it needs uniform or
 file weights.
 
-The scaling experiment sweeps the parallel SV, BFS, BC, k-core and SSSP
-(unit + weighted) kernels over 1, 2, 4 and 8 threads; --json emits the
-rows as the bga-scaling-v2 JSON document for the CI bench artifact, and
-bga bench compare diffs a new document against the per-row median of one
-or more baseline documents, flagging time regressions beyond the
-threshold (default 10%). --trace FILE (parallel runs only) writes the
-run's bga-trace-v1 JSONL event stream — run header, one structured event
-per engine phase, worker-pool batch metrics, totals trailer — and
-bga trace report renders it (per-phase table, pool imbalance, the
-paper's misprediction-bound crossover summary); bga trace validate
-checks the stream invariants and gates the CI smoke step.
+--trace FILE (parallel runs only) writes the run's bga-trace-v1 JSONL
+event stream — run header, one structured event per engine phase,
+worker-pool batch metrics, totals trailer — and bga trace report renders
+it (per-phase table, pool imbalance, the paper's misprediction-bound
+crossover summary); bga trace validate checks the stream invariants and
+gates the CI smoke step.
 --timeout-ms T (parallel runs only; bga bc needs --sources) arms a
 wall-clock deadline checked at every engine phase boundary: an expired
 run stops promptly, prints the valid partial summary it reached (every
@@ -146,8 +137,6 @@ pub fn dispatch(args: &[String]) -> Result<(), CliError> {
     match command.as_str() {
         "generate" => generate::run(rest).map_err(CliError::from),
         "cc" | "bfs" | "bc" | "kcore" | "sssp" => kernel::run(command, rest),
-        "experiment" => experiment::run(rest).map_err(CliError::from),
-        "bench" => bench_compare::run(rest).map_err(CliError::from),
         "trace" => trace::run(rest).map_err(CliError::from),
         "graph" => graph_convert::run(rest).map_err(CliError::from),
         "serve" => serve::run(rest).map_err(CliError::from),
@@ -157,6 +146,42 @@ pub fn dispatch(args: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         other => Err(format!("unknown subcommand {other:?}").into()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{dispatch, CliError, USAGE};
+
+    fn unknown(name: &str) -> bool {
+        let result = dispatch(&[name.to_string()]);
+        matches!(result, Err(CliError::Message(m)) if m.starts_with("unknown subcommand"))
+    }
+
+    #[test]
+    fn usage_names_exactly_the_dispatched_subcommands() {
+        let names: Vec<&str> = USAGE
+            .lines()
+            .filter_map(|line| line.strip_prefix("  bga "))
+            .filter_map(|line| line.split_whitespace().next())
+            .flat_map(|word| {
+                word.trim_start_matches('<')
+                    .trim_end_matches('>')
+                    .split('|')
+            })
+            .collect();
+        let expected = [
+            "generate", "cc", "bfs", "bc", "kcore", "sssp", "trace", "graph", "serve", "query",
+        ];
+        assert_eq!(names, expected);
+        for name in names {
+            assert!(
+                !unknown(name),
+                "USAGE names {name:?} but dispatch rejects it"
+            );
+        }
+        assert!(unknown("experiment"));
+        assert!(unknown("bench"));
     }
 }
 

@@ -1,19 +1,12 @@
 //! `bga` — command-line interface to the Branch-Avoiding Graph Algorithms
 //! reproduction.
 //!
-//! Subcommands:
-//!
-//! * `generate <family> <args..> <output.metis>` — write a synthetic graph
-//!   to disk in METIS format.
-//! * `cc <graph> [--variant …]` — run connected components and print a
-//!   summary (components, iterations, counters).
-//! * `bfs <graph> [--root R] [--variant …]` — run BFS and print a summary.
-//! * `experiment <table1|table2|suite-summary>` — quick textual versions of
-//!   the paper's tables (the full figure harnesses live in `bga-bench`).
-//!
-//! `<graph>` is either a path to a METIS / edge-list file or one of the
-//! built-in suite names (`audikw1`, `auto`, `coAuthorsDBLP`,
-//! `cond-mat-2005`, `ldoor`).
+//! The subcommands (`generate`, the kernels `cc`, `bfs`, `bc`, `kcore` and
+//! `sssp`, `trace`, `graph`, `serve` and `query`) and their flags are
+//! listed in `commands::USAGE`, which `bga help` prints; `commands::dispatch`
+//! routes exactly those names, and a unit test there keeps the two in step.
+//! The paper's figures and tables are the `bga-bench` binaries, and the
+//! wall-clock benchmark is `benchmark/`.
 
 mod commands;
 

@@ -1,10 +1,10 @@
 //! Dependency-free JSON value, parser and writer.
 //!
 //! The workspace builds offline, so there is no serde to lean on; this is
-//! a recursive-descent reader (also what `bga bench compare` reads scaling
-//! documents with), plus a compact writer so [`crate::event::TraceEvent`]
-//! lines round-trip through plain strings. Objects keep insertion order in
-//! a flat pair list — trace lines are tiny, so linear key lookup is fine.
+//! a recursive-descent reader plus a compact writer, so
+//! [`crate::event::TraceEvent`] lines round-trip through plain strings.
+//! Objects keep insertion order in a flat pair list — trace lines are
+//! tiny, so linear key lookup is fine.
 
 use std::fmt;
 

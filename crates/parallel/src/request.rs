@@ -406,12 +406,26 @@ pub fn run_components<G: AdjacencySource, S: TraceSink, X: ExecutorAxis>(
 /// Resumes connected components from partial labels (typically the state
 /// an interrupted run returned): sweeps continue lowering the given
 /// labels instead of the identity and converge to the same fixpoint.
+///
+/// # Panics
+///
+/// When `labels` does not have one entry per vertex, or a label is above
+/// its vertex id (SV labels only fall from the identity, so no run could
+/// have produced it).
 pub fn run_components_resumed<G: AdjacencySource, S: TraceSink, X: ExecutorAxis>(
     graph: &G,
     variant: Variant,
     labels: &ComponentLabels,
     config: &RunConfig<'_, S, X>,
 ) -> (ParSvRun, RunOutcome) {
+    assert_eq!(
+        labels.len(),
+        graph.num_vertices(),
+        "resume labels sized for a different graph"
+    );
+    if let Some((v, &label)) = (0u32..).zip(labels.as_slice()).find(|&(v, &l)| l > v) {
+        panic!("resume label {label} of vertex {v} is above its vertex id");
+    }
     crate::sv::run_request(graph, variant, Some(labels), config)
 }
 
@@ -618,6 +632,24 @@ mod tests {
             run(&g, &request, &RunConfig::new()).unwrap_err(),
             RequestError::RequiresWeights
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "resume labels sized for a different graph")]
+    fn resume_rejects_labels_of_another_length() {
+        let g = bga_graph::generators::path_graph(10);
+        let labels = ComponentLabels::new((0..9).collect());
+        run_components_resumed(&g, Variant::BranchAvoiding, &labels, &RunConfig::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "is above its vertex id")]
+    fn resume_rejects_labels_above_their_vertex() {
+        let g = bga_graph::GraphBuilder::undirected(4)
+            .add_edges([(0, 1), (2, 3)])
+            .build();
+        let labels = ComponentLabels::new(vec![99; 4]);
+        run_components_resumed(&g, Variant::BranchAvoiding, &labels, &RunConfig::new());
     }
 
     #[test]

@@ -28,7 +28,6 @@
 pub mod advisor;
 pub mod bounds;
 pub mod correlation;
-pub mod summary;
 pub mod timing;
 
 pub use advisor::{AdvisorConfig, ChosenVariant, PhaseSample, VariantAdvisor, VariantDecision};

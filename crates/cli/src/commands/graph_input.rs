@@ -82,7 +82,16 @@ pub fn load_graph(spec: &str) -> Result<CsrGraph, String> {
         // compressed execution path.
         GraphFormat::Compressed => read_compressed_binary_file(path).map(|g| g.to_csr()),
     };
-    result.map_err(|e| format!("failed to read {spec}: {e}"))
+    let graph = result.map_err(|e| format!("failed to read {spec}: {e}"))?;
+    // The text readers always build undirected graphs; a binary's flag
+    // can say otherwise. Brandes' σ pull, SV and k-core read each vertex's
+    // own adjacency as its full neighbourhood, so refuse it here.
+    if !graph.is_undirected() {
+        return Err(format!(
+            "{spec:?} holds a directed graph; the kernels need an undirected one"
+        ));
+    }
+    Ok(graph)
 }
 
 /// Loads a *weighted* graph from a file path, preserving the file's edge
@@ -210,6 +219,22 @@ mod tests {
         assert_eq!(g, back);
         let err = load_weighted_graph(path.to_str().unwrap()).unwrap_err();
         assert!(err.contains("no weights"), "{err}");
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn directed_compressed_binaries_are_refused() {
+        use bga_graph::io::write_compressed_binary_file;
+        use bga_graph::{CompressedCsrGraph, GraphBuilder};
+        let dir = std::env::temp_dir().join("bga_cli_directed_bgacsr_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("directed.bgacsr");
+        let g = GraphBuilder::directed(3)
+            .add_edges([(0, 1), (1, 2)])
+            .build();
+        write_compressed_binary_file(&path, &CompressedCsrGraph::from_csr(&g)).unwrap();
+        let err = load_graph(path.to_str().unwrap()).unwrap_err();
+        assert!(err.contains("holds a directed graph"), "{err}");
         std::fs::remove_file(path).ok();
     }
 

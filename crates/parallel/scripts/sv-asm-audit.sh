@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# Disassembly audit of the Shiloach-Vishkin sweep bodies and the
-# sequential top-down BFS bodies.
+# Disassembly audit of the Shiloach-Vishkin sweep bodies, the sequential
+# top-down BFS bodies and the parallel top-down level bodies.
 #
-# Builds the `parallel_scaling` example in release mode (it runs SV on both
-# `CsrGraph` and `CompressedCsrGraph`), disassembles it with objdump and
-# extracts, per discipline (`<false>` is Algorithm 2, branch-based, and
-# `<true>` Algorithm 3, branch-avoiding) and graph type:
+# Builds the `parallel_scaling` example in release mode (it runs SV, BFS
+# and Brandes on both `CsrGraph` and `CompressedCsrGraph`), disassembles
+# it with objdump and extracts, per discipline (`<false>` is Algorithm 2,
+# branch-based, and `<true>` Algorithm 3, branch-avoiding) and graph type:
 #
 # * the uncounted SV body, `cc::sv::plain_sweep<G, AVOIDING>`, which every
 #   plain SV kernel runs, sequential and parallel;
@@ -14,27 +14,40 @@
 # * the untallied parallel chunk, `Sweep<AVOIDING>::sweep_chunk<false>`,
 #   which must call the uncounted body rather than hold a loop of its own;
 #
-# and the sequential top-down BFS bodies, `bfs::topdown::plain_topdown<AVOIDING>`.
-# All are `#[inline(never)]`, so each has a symbol of its own. For each
+# the sequential top-down BFS bodies, `bfs::topdown::plain_topdown<AVOIDING>`,
+# and the parallel top-down level bodies
+# `Branch{Based,Avoiding}Level<SIGMA>::top_down_chunk<TALLY>` (Algorithms 4
+# and 5), which BFS and unit SSSP run with `SIGMA = false` and Brandes'
+# forward phase with `SIGMA = true`. All are `#[inline(never)]` or too
+# large to inline, so each has a symbol of its own. For each
 # body it prints static instruction counts: conditional jumps, `cmov`s,
 # and instructions that load from or store to an explicit memory operand
 # (a read-modify-write such as `add [m], 1` counts as both, `cmp [m], r`
 # as a load; `lea`, `nop`, `call` and `jmp` are not counted, nor are
-# push/pop). It then lists who calls each uncounted SV body, resolving
+# push/pop), locked instructions, and for the level bodies the
+# `lock cmpxchg`s of the discovery claim (a CAS, or the loop `fetch_min`
+# compiles to). It then lists who calls each uncounted SV body, resolving
 # calls through the GOT with the binary's relative relocations.
 #
 # The parallel sweep relies on one writer per label (see
-# crates/parallel/src/sv.rs) and the sequential bodies are single-threaded,
-# so the audit fails when:
+# crates/parallel/src/sv.rs), the sequential bodies are single-threaded
+# and a level body's only shared read-modify-write is its discovery claim
+# (σ is pulled and stored by its owner, see crates/parallel/src/bc.rs), so
+# the audit fails when:
 #
-# * a body holds a `lock`-prefixed instruction, a `cmpxchg` or an `xchg`
-#   with a memory operand (implicitly locked);
+# * an SV or sequential BFS body holds a `lock`-prefixed instruction, a
+#   `cmpxchg` or an `xchg` with a memory operand (implicitly locked);
+# * a level body holds any of those other than `lock cmpxchg`;
 # * an uncounted SV body appears twice (two copies of one instance);
 # * an untallied chunk does not call its uncounted body (a re-forked
 #   parallel sweep), or no sequential `cc::sv` function calls the `CsrGraph`
 #   body;
 # * one of the 12 SV bodies (2 disciplines x 2 graph types x uncounted,
-#   tallied and untallied chunk) or the 2 BFS bodies is missing.
+#   tallied and untallied chunk), the 2 BFS bodies or the 16 level bodies
+#   (2 disciplines x SIGMA x TALLY x 2 graph types) is missing.
+#
+# Instructions are matched on their mnemonic field, never as a substring
+# of the line (an address such as 0xaddd7 would match "xadd").
 #
 #   crates/parallel/scripts/sv-asm-audit.sh
 #
@@ -120,6 +133,22 @@ FNR == NR {
         order[++bodies] = body
         # The untallied chunk is checked for its call to the uncounted body.
         if (tally == "<false>") caller = body
+    } else if (name ~ /^<bga_parallel::bfs::Branch(Based|Avoiding)Level<(true|false)> as .*LevelKernel<.*>>::top_down_chunk::<(true|false)>$/) {
+        # "<bga_parallel::bfs::BranchAvoidingLevel<true> as ...LevelKernel<
+        # ...::CsrGraph>>::top_down_chunk::<false>"
+        # -> "BranchAvoidingLevel<true>::top_down_chunk<false> on CsrGraph".
+        tally = name
+        sub(/^.*::top_down_chunk::/, "", tally)
+        graph = name
+        sub(/^.*LevelKernel</, "", graph)
+        sub(/>>::top_down_chunk::<(true|false)>$/, "", graph)
+        gsub(/[a-z_0-9]+::/, "", graph)
+        kernel = name
+        sub(/^<bga_parallel::bfs::/, "", kernel)
+        sub(/ as .*$/, "", kernel)
+        body = kernel "::top_down_chunk" tally " on " graph
+        level[body] = 1
+        order[++bodies] = body
     } else if (name ~ /^bga_kernels::(bfs::topdown::plain_topdown)::<(true|false)>$/) {
         body = name
         sub(/^bga_kernels::/, "", body)
@@ -157,15 +186,19 @@ FNR == NR {
         calls[caller] = calls[caller] " " direct " " (slot in got ? got[slot] : "")
     }
     if (body == "") next
-    if (mnemonic == "lock") {
-        locked[body]++
+    prefixed = (mnemonic == "lock")
+    if (prefixed) {
         mnemonic = parts[2]
         operands = insn
         sub(/^lock[ \t]+[^ \t]+[ \t]*/, "", operands)
     }
     if (mnemonic == "int3") next
     insns[body]++
-    if (mnemonic ~ /cmpxchg/ || (mnemonic == "xchg" && operands ~ /\[/)) locked[body]++
+    if (prefixed && mnemonic == "cmpxchg" && (body in level)) {
+        claims[body]++
+    } else if (prefixed || mnemonic ~ /^cmpxchg/ || (mnemonic == "xchg" && operands ~ /\[/)) {
+        locked[body]++
+    }
     if (mnemonic ~ /^j/ && mnemonic != "jmp") jcc[body]++
     if (mnemonic ~ /^cmov/) cmov[body]++
     if (operands ~ /\[/ && mnemonic !~ /^(lea|nop|call|jmp)/) {
@@ -181,12 +214,13 @@ FNR == NR {
 }
 END {
     failed = 0
-    printf "%-56s %6s %5s %5s %6s %7s %7s\n", "body", "insns", "jcc", "cmov", "loads", "stores", "locked"
+    printf "%-72s %6s %5s %5s %6s %7s %7s %7s\n", "body", "insns", "jcc", "cmov", "loads", "stores", "locked", "claims"
     for (i = 1; i <= bodies; i++) {
         b = order[i]
-        printf "%-56s %6d %5d %5d %6d %7d %7d\n", b, insns[b], jcc[b], cmov[b], loads[b], stores[b], locked[b]
+        printf "%-72s %6d %5d %5d %6d %7d %7d %7d\n", b, insns[b], jcc[b], cmov[b], loads[b], stores[b], locked[b], claims[b]
         if (locked[b] > 0) {
-            print "sv-asm-audit: FAIL, " b " holds a locked read-modify-write" > "/dev/stderr"
+            what = (b in level) ? "a locked instruction besides the claim'"'"'s lock cmpxchg" : "a locked read-modify-write"
+            print "sv-asm-audit: FAIL, " b " holds " what > "/dev/stderr"
             failed = 1
         }
     }
@@ -239,7 +273,21 @@ END {
             failed = 1
         }
     }
+    for (g = 0; g < 2; g++) {
+        graph = g ? "CompressedCsrGraph" : "CsrGraph"
+        for (a = 0; a < 2; a++) {
+            for (sigma = 0; sigma < 2; sigma++) {
+                for (t = 0; t < 2; t++) {
+                    b = "Branch" (a ? "Avoiding" : "Based") "Level<" (sigma ? "true" : "false") ">::top_down_chunk<" (t ? "true" : "false") "> on " graph
+                    if (!(b in level)) {
+                        print "sv-asm-audit: FAIL, " b " not found" > "/dev/stderr"
+                        failed = 1
+                    }
+                }
+            }
+        }
+    }
     if (failed) exit 1
-    print "sv-asm-audit: ok, one uncounted SV body per discipline and graph type, no lock prefix, cmpxchg or memory xchg in any body"
+    print "sv-asm-audit: ok, one uncounted SV body per discipline and graph type, no lock prefix, cmpxchg or memory xchg in any SV or sequential BFS body, and no locked instruction but the claim'"'"'s lock cmpxchg in any level body"
 }
 ' <(printf '%s\n' "$relocs") <(printf '%s\n' "$listing")

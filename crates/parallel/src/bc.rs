@@ -3,25 +3,23 @@
 //! Brandes' algorithm is a sequence of BFS traversals (one per source)
 //! plus a dependency back-sweep — exactly the shape the engine
 //! ([`crate::engine`]) was extracted for. The forward phase of each
-//! source runs as an engine-driven level-synchronous BFS whose kernel
-//! also accumulates shortest-path counts (σ), in the two hooking
-//! disciplines the paper contrasts:
+//! source is the top-down BFS itself: the BFS level kernels
+//! [`BranchBasedLevel`] / [`BranchAvoidingLevel`] (the paper's Algorithms
+//! 4 and 5) with `SIGMA` set. In the adjacency scan that discovers the
+//! next level, each frontier vertex `v` also *pulls* σ(v), the sum of σ
+//! over its neighbours one level above it, and `v`'s chunk stores it once.
+//! Every σ it reads was stored one level earlier, so σ needs no atomic
+//! read-modify-write; the engine expands every frontier, the last one
+//! included, so every reached vertex gets its σ. Bottom-up levels do not
+//! pull, so the forward phase runs under
+//! [`DirectionConfig::always_top_down`]. The pull reads `v`'s own
+//! adjacency, so the graph must be undirected:
+//! [`crate::request::run_betweenness`] refuses a directed one.
 //!
-//! * [`BcVariant::BranchAvoiding`] — per edge, one unconditional
-//!   `fetch_min(next_level)` on the distance (the priority write) with
-//!   the branch-free "write past the end" queue claim, and one
-//!   unconditional `fetch_add` on σ whose addend is predicated to
-//!   σ(parent) exactly when the edge lands on the next level — no
-//!   data-dependent branch anywhere in the inner loop.
-//! * [`BcVariant::BranchBased`] — per edge, test `distance == INFINITY`
-//!   and claim the vertex with a `compare_exchange`, then branch again on
-//!   the level test before the σ `fetch_add` — the CAS discipline of
-//!   paper Algorithm 4, mirroring the SV pair.
-//!
-//! σ is accumulated in integers, so the forward phase is exact and
-//! deterministic at every thread count. The dependency accumulation then
-//! walks the recorded level boundaries ([`crate::engine::LevelRun::level_bounds`])
-//! in reverse; each level's vertices *pull* their dependency from the
+//! σ is summed in wrapping 64-bit integers, so the forward phase is exact
+//! (modulo 2^64) and deterministic at every thread count. The dependency
+//! accumulation then walks the recorded level boundaries
+//! ([`crate::engine::LevelRun::level_bounds`]) in reverse; each level's vertices *pull* their dependency from the
 //! finished level below, so every δ is written by exactly one chunk —
 //! race-free without floating-point atomics — and computed from a fixed
 //! neighbour order, which makes the final scores **bit-identical across
@@ -42,19 +40,15 @@
 //! [`bga_kernels::bc::betweenness_centrality_sources`].
 
 use crate::auto::AutoSwitch;
+use crate::bfs::{BranchAvoidingLevel, BranchBasedLevel};
 use crate::cancel::RunOutcome;
-use crate::counters::ThreadTally;
-use crate::engine::{
-    frontier_degree_prefix, LevelCtx, LevelKernel, LevelLoop, LevelRun, PhaseHooks, TraversalState,
-};
+use crate::engine::{frontier_degree_prefix, LevelLoop, LevelRun, TraversalState};
 use crate::pool::{balanced_prefix_ranges, effective_chunks_with_grain, Execute};
 use crate::request::{ExecutorAxis, RunConfig, Variant};
 use crate::trace::{run_footprint, RunScope};
 use bga_graph::{AdjacencySource, VertexId};
 use bga_kernels::bfs::direction_optimizing::DirectionConfig;
-use bga_kernels::bfs::INFINITY;
 use bga_obs::{TraceEvent, TraceSink};
-use std::ops::Range;
 use std::sync::atomic::Ordering::Relaxed;
 
 /// Which forward-phase hooking discipline a parallel betweenness run uses.
@@ -76,121 +70,6 @@ pub struct ParBcRun {
     pub sources_done: usize,
     /// Worker count the run actually used.
     pub threads: usize,
-}
-
-/// Brandes forward phase as a level kernel: BFS discovery plus σ
-/// accumulation, in the discipline selected by `BRANCH_AVOIDING`. Runs
-/// strictly top-down (σ accumulation needs every cross-level edge, which
-/// the early-exit bottom-up claim would skip). `TALLY` compiles in the
-/// per-thread instruction tally, feeding phase counters and the variant
-/// advisor.
-struct BcForward<const BRANCH_AVOIDING: bool>;
-
-impl<const BRANCH_AVOIDING: bool> PhaseHooks for BcForward<BRANCH_AVOIDING> {}
-
-impl<G: AdjacencySource, const BRANCH_AVOIDING: bool> LevelKernel<G>
-    for BcForward<BRANCH_AVOIDING>
-{
-    fn top_down_chunk<const TALLY: bool>(
-        &self,
-        ctx: &LevelCtx<'_, G>,
-        frontier: &[VertexId],
-        range: Range<usize>,
-        chunk_edges: usize,
-        tally: &mut ThreadTally,
-    ) -> Vec<VertexId> {
-        let distances = ctx.state.distances();
-        let sigma = ctx.state.sigma().expect("BC traversal state carries sigma");
-        let next_level = ctx.next_level;
-        if BRANCH_AVOIDING {
-            let mut buffer = vec![0 as VertexId; chunk_edges.min(ctx.graph.num_vertices()) + 1];
-            let mut len = 0usize;
-            for &v in &frontier[range] {
-                // σ(v) is final: the level barrier ran before this chunk.
-                let sigma_v = sigma[v as usize].load(Relaxed);
-                if TALLY {
-                    tally.vertices += 1;
-                    tally.loads += 1; // σ(v)
-                    tally.branches += 1; // frontier-loop bound
-                }
-                for w in ctx.graph.neighbor_cursor(v) {
-                    // The priority write, with the branch-free queue claim.
-                    let prev = distances[w as usize].fetch_min(next_level, Relaxed);
-                    buffer[len] = w;
-                    len += usize::from(prev > next_level);
-                    // Unconditional σ accumulation with a predicated
-                    // addend: σ_v exactly when w sits at `next_level`
-                    // (`prev >= next_level` covers both "this edge
-                    // discovered w" and "another edge of this level did"),
-                    // zero when w lives on an earlier level.
-                    sigma[w as usize].fetch_add(u64::from(prev >= next_level) * sigma_v, Relaxed);
-                    if TALLY {
-                        tally.edges += 1;
-                        tally.loads += 2; // fetch_min + fetch_add reads
-                        tally.stores += 3; // distance + queue slot + σ
-                        tally.conditional_moves += 3; // claim length + two predicated values
-                        tally.branches += 1; // neighbour-loop bound only
-                        tally.updates += u64::from(prev > next_level);
-                    }
-                }
-            }
-            buffer.truncate(len);
-            buffer
-        } else {
-            let mut local = Vec::new();
-            for &v in &frontier[range] {
-                let sigma_v = sigma[v as usize].load(Relaxed);
-                if TALLY {
-                    tally.vertices += 1;
-                    tally.loads += 1; // σ(v)
-                    tally.branches += 1; // frontier-loop bound
-                }
-                for w in ctx.graph.neighbor_cursor(v) {
-                    let dw = distances[w as usize].load(Relaxed);
-                    if TALLY {
-                        tally.edges += 1;
-                        tally.loads += 1;
-                        tally.branches += 2; // neighbour-loop bound + visited test
-                        tally.data_branches += 1;
-                    }
-                    if dw == INFINITY {
-                        // Data-dependent test, then claim with a CAS;
-                        // exactly one contender per vertex succeeds.
-                        let claimed = distances[w as usize]
-                            .compare_exchange(INFINITY, next_level, Relaxed, Relaxed)
-                            .is_ok();
-                        if claimed {
-                            local.push(w);
-                        }
-                        if TALLY {
-                            tally.loads += 1;
-                            tally.branches += 1; // CAS-outcome test
-                            tally.data_branches += 1;
-                            tally.stores += 1 + 2 * u64::from(claimed); // σ, plus distance + queue slot on the win
-                            tally.updates += u64::from(claimed);
-                        }
-                        // Whichever contender won, d(w) is now
-                        // `next_level` (within a level every writer writes
-                        // the same value), so this edge lies on a shortest
-                        // path and must contribute σ_v.
-                        sigma[w as usize].fetch_add(sigma_v, Relaxed);
-                    } else if dw == next_level {
-                        sigma[w as usize].fetch_add(sigma_v, Relaxed);
-                        if TALLY {
-                            tally.loads += 1;
-                            tally.stores += 1; // σ
-                            tally.branches += 1; // level test
-                            tally.data_branches += 1;
-                        }
-                    } else if TALLY {
-                        tally.branches += 1; // level test, fell through
-                        tally.data_branches += 1;
-                    }
-                }
-            }
-            local
-        }
-    }
 }
 
 /// Pull-style dependency accumulation for one finished source: walk the
@@ -275,6 +154,10 @@ pub(crate) fn run_request<G: AdjacencySource, S: TraceSink, X: ExecutorAxis>(
     sources: Option<&[VertexId]>,
     config: &RunConfig<'_, S, X>,
 ) -> (ParBcRun, RunOutcome) {
+    assert!(
+        graph.is_undirected(),
+        "betweenness centrality needs an undirected graph"
+    );
     let all: Vec<VertexId>;
     let source_list: &[VertexId] = match sources {
         Some(list) => list,
@@ -315,7 +198,7 @@ pub(crate) fn run_request<G: AdjacencySource, S: TraceSink, X: ExecutorAxis>(
     let mut outcome = RunOutcome::Completed;
     // Shared across sources: the advisor samples the first source's
     // levels, and every later source runs the chosen static discipline.
-    let auto = AutoSwitch::new(BcForward::<false>, BcForward::<true>);
+    let auto = AutoSwitch::new(BranchBasedLevel::<true>, BranchAvoidingLevel::<true>);
     for &source in source_list {
         if (source as usize) >= n {
             sources_done += 1;
@@ -325,10 +208,10 @@ pub(crate) fn run_request<G: AdjacencySource, S: TraceSink, X: ExecutorAxis>(
         let level_loop = level_loop.starting_at(total_phases);
         let (run, forward_outcome) = match variant {
             BcVariant::BranchAvoiding => {
-                level_loop.run(&state, source, &BcForward::<true>, sink, token)
+                level_loop.run(&state, source, &BranchAvoidingLevel::<true>, sink, token)
             }
             BcVariant::BranchBased => {
-                level_loop.run(&state, source, &BcForward::<false>, sink, token)
+                level_loop.run(&state, source, &BranchBasedLevel::<true>, sink, token)
             }
             BcVariant::Auto => level_loop.run(&state, source, &auto, sink, token),
         };
@@ -564,6 +447,38 @@ mod tests {
             .build();
         let scores = full_scores(&g, 2, Variant::BranchAvoiding);
         assert_close(&scores, &[0.0, 1.0, 0.0, 0.0, 1.0, 0.0]);
+    }
+
+    #[test]
+    fn multigraphs_count_parallel_edges_and_ignore_self_loops() {
+        // Each parallel edge is one more shortest path, counted from the
+        // parent's side by a push and from the child's side by the pull;
+        // a self-loop never joins two levels.
+        let g = GraphBuilder::undirected(6)
+            .keep_duplicates(true)
+            .keep_self_loops(true)
+            .add_edges([(0, 1), (0, 1), (1, 2), (1, 3), (2, 4), (3, 4)])
+            .add_edges([(2, 5), (2, 5), (4, 5), (2, 2), (3, 3)])
+            .build();
+        let sources = [0, 5, 2];
+        let expected = betweenness_centrality_sources(&g, &sources);
+        for threads in [1, 2, 8] {
+            let config = RunConfig::new().threads(threads).grain(1);
+            for variant in [Variant::BranchBased, Variant::BranchAvoiding, Variant::Auto] {
+                let run = run_request(&g, variant, Some(&sources), &config).0;
+                assert_close(&run.scores, &expected);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "undirected graph")]
+    fn directed_graphs_are_refused() {
+        // σ(1) would be pulled from 1's out-neighbours, which miss 0.
+        let g = GraphBuilder::directed(3)
+            .add_edges([(0, 1), (1, 2)])
+            .build();
+        run_request(&g, Variant::BranchAvoiding, None, &RunConfig::new());
     }
 
     #[test]

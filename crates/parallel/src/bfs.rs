@@ -15,6 +15,10 @@
 //!   `(prev > next_level) as usize`, the same "write past the end" trick
 //!   the sequential branch-avoiding kernel uses.
 //!
+//! The same kernels serve unit-weight SSSP and, with `SIGMA`, Brandes'
+//! forward phase, where each frontier vertex also pulls its σ (see
+//! [`crate::bc`]); only the top-down step pulls.
+//!
 //! `BfsStrategy::DirectionOptimizing` runs the branch-avoiding kernel
 //! under a [`DirectionConfig`] that lets the engine switch to *bottom-up* levels
 //! over a shared bitmap frontier — the direction-switching regime of
@@ -76,13 +80,14 @@ impl ParDirBfsRun {
 
 /// Top-down expansion claiming vertices with a data-dependent test plus a
 /// CAS (paper Algorithm 4 in the concurrent setting); its bottom-up step
-/// is the shared bitmap claim. With `TALLY`, every operation is accounted
-/// into the chunk's [`ThreadTally`].
-pub struct BranchBasedLevel;
+/// is the shared bitmap claim. With `SIGMA` (on a σ-carrying state) a
+/// second data-dependent test finds the parents σ is pulled from. With
+/// `TALLY`, every operation is accounted into the chunk's [`ThreadTally`].
+pub struct BranchBasedLevel<const SIGMA: bool>;
 
-impl PhaseHooks for BranchBasedLevel {}
+impl<const SIGMA: bool> PhaseHooks for BranchBasedLevel<SIGMA> {}
 
-impl<G: AdjacencySource> LevelKernel<G> for BranchBasedLevel {
+impl<G: AdjacencySource, const SIGMA: bool> LevelKernel<G> for BranchBasedLevel<SIGMA> {
     fn top_down_chunk<const TALLY: bool>(
         &self,
         ctx: &LevelCtx<'_, G>,
@@ -93,8 +98,12 @@ impl<G: AdjacencySource> LevelKernel<G> for BranchBasedLevel {
     ) -> Vec<VertexId> {
         let distances = ctx.state.distances();
         let next_level = ctx.next_level;
+        // The frontier's parents sit two levels above the one discovered.
+        let sigma = ctx.state.sigma().filter(|_| SIGMA).unwrap_or_default();
+        let parent_level = next_level.wrapping_sub(2);
         let mut local = Vec::new();
         for &v in &frontier[range] {
+            let mut paths = 0u64;
             if TALLY {
                 tally.vertices += 1;
                 tally.branches += 1; // frontier-loop bound
@@ -108,7 +117,8 @@ impl<G: AdjacencySource> LevelKernel<G> for BranchBasedLevel {
                 }
                 // Data-dependent test, then claim the vertex with a CAS;
                 // exactly one contender per vertex succeeds.
-                if distances[w as usize].load(Relaxed) == INFINITY {
+                let dw = distances[w as usize].load(Relaxed);
+                if dw == INFINITY {
                     if TALLY {
                         tally.loads += 1;
                         tally.branches += 1;
@@ -124,6 +134,22 @@ impl<G: AdjacencySource> LevelKernel<G> for BranchBasedLevel {
                         }
                         local.push(w);
                     }
+                } else if SIGMA && dw == parent_level {
+                    paths = paths.wrapping_add(sigma[w as usize].load(Relaxed));
+                    if TALLY {
+                        tally.loads += 1; // σ(w)
+                    }
+                }
+                if SIGMA && TALLY && dw != INFINITY {
+                    tally.branches += 1; // parent test
+                    tally.data_branches += 1;
+                }
+            }
+            // v's chunk is σ(v)'s only writer; the root keeps σ = 1.
+            if SIGMA && next_level > 1 {
+                sigma[v as usize].store(paths, Relaxed);
+                if TALLY {
+                    tally.stores += 1; // σ(v)
                 }
             }
         }
@@ -133,13 +159,15 @@ impl<G: AdjacencySource> LevelKernel<G> for BranchBasedLevel {
 
 /// Top-down expansion with one `fetch_min` per edge and branch-free
 /// buffer advancement (paper Algorithm 5 in the concurrent setting); its
-/// bottom-up step is the shared bitmap claim. With `TALLY`, every
-/// operation is accounted into the chunk's [`ThreadTally`].
-pub struct BranchAvoidingLevel;
+/// bottom-up step is the shared bitmap claim. With `SIGMA` (on a
+/// σ-carrying state) the value `fetch_min` returns selects each σ addend
+/// by a multiply. With `TALLY`, every operation is accounted into the
+/// chunk's [`ThreadTally`].
+pub struct BranchAvoidingLevel<const SIGMA: bool>;
 
-impl PhaseHooks for BranchAvoidingLevel {}
+impl<const SIGMA: bool> PhaseHooks for BranchAvoidingLevel<SIGMA> {}
 
-impl<G: AdjacencySource> LevelKernel<G> for BranchAvoidingLevel {
+impl<G: AdjacencySource, const SIGMA: bool> LevelKernel<G> for BranchAvoidingLevel<SIGMA> {
     fn top_down_chunk<const TALLY: bool>(
         &self,
         ctx: &LevelCtx<'_, G>,
@@ -150,6 +178,9 @@ impl<G: AdjacencySource> LevelKernel<G> for BranchAvoidingLevel {
     ) -> Vec<VertexId> {
         let distances = ctx.state.distances();
         let next_level = ctx.next_level;
+        // The frontier's parents sit two levels above the one discovered.
+        let sigma = ctx.state.sigma().filter(|_| SIGMA).unwrap_or_default();
+        let parent_level = next_level.wrapping_sub(2);
         // One slot per potential discovery plus the overflow slot the
         // unconditional write of a non-discovery lands in. A chunk can
         // discover at most min(chunk edges, |V|) vertices, so cap the
@@ -158,6 +189,7 @@ impl<G: AdjacencySource> LevelKernel<G> for BranchAvoidingLevel {
         let mut buffer = vec![0 as VertexId; chunk_edges.min(ctx.graph.num_vertices()) + 1];
         let mut len = 0usize;
         for &v in &frontier[range] {
+            let mut paths = 0u64;
             if TALLY {
                 tally.vertices += 1;
                 tally.branches += 1; // frontier-loop bound
@@ -171,6 +203,10 @@ impl<G: AdjacencySource> LevelKernel<G> for BranchAvoidingLevel {
                 // previous value above the level being written).
                 buffer[len] = w;
                 len += usize::from(prev > next_level);
+                if SIGMA {
+                    let addend = u64::from(prev == parent_level) * sigma[w as usize].load(Relaxed);
+                    paths = paths.wrapping_add(addend);
+                }
                 if TALLY {
                     tally.edges += 1;
                     // fetch_min = load + predicated min + store; the queue
@@ -180,6 +216,15 @@ impl<G: AdjacencySource> LevelKernel<G> for BranchAvoidingLevel {
                     tally.conditional_moves += 2;
                     tally.branches += 1; // neighbour-loop bound only
                     tally.updates += u64::from(prev > next_level);
+                    tally.loads += u64::from(SIGMA); // σ(w)
+                    tally.conditional_moves += u64::from(SIGMA); // σ addend
+                }
+            }
+            // v's chunk is σ(v)'s only writer; the root keeps σ = 1.
+            if SIGMA && next_level > 1 {
+                sigma[v as usize].store(paths, Relaxed);
+                if TALLY {
+                    tally.stores += 1; // σ(v)
                 }
             }
         }
@@ -199,12 +244,12 @@ pub(crate) fn traverse<G: AdjacencySource, E: Execute, S: TraceSink>(
     sink: &S,
     cancel: Option<&CancelToken>,
 ) -> (LevelRun, RunOutcome) {
+    let (based, avoiding) = (BranchBasedLevel::<false>, BranchAvoidingLevel::<false>);
     match variant {
-        Variant::BranchAvoiding => level_loop.run(state, root, &BranchAvoidingLevel, sink, cancel),
-        Variant::BranchBased => level_loop.run(state, root, &BranchBasedLevel, sink, cancel),
+        Variant::BranchAvoiding => level_loop.run(state, root, &avoiding, sink, cancel),
+        Variant::BranchBased => level_loop.run(state, root, &based, sink, cancel),
         Variant::Auto => {
-            let auto = AutoSwitch::new(BranchBasedLevel, BranchAvoidingLevel);
-            level_loop.run(state, root, &auto, sink, cancel)
+            level_loop.run(state, root, &AutoSwitch::new(based, avoiding), sink, cancel)
         }
     }
 }

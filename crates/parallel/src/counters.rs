@@ -7,8 +7,10 @@
 //! sweep/level are then merged into a single step and fed into the same
 //! [`RunCounters`] series the figures and reports consume. Shiloach-Vishkin
 //! runs the kernels crate's sweep body on the tally, which implements
-//! [`Machine`] as a count-only machine; the BFS, SSSP, Brandes and k-core
-//! chunk bodies still add to the tally's fields by hand.
+//! [`Machine`] as a count-only machine; the top-down level bodies (which
+//! BFS, unit SSSP and Brandes' forward phase share), the bottom-up claim,
+//! weighted SSSP and k-core chunk bodies still add to the tally's fields
+//! by hand.
 //! The tallies are accumulated inside pool chunks and returned through
 //! [`crate::pool::Execute::run`] in chunk order, so merging is
 //! deterministic regardless of which worker ran which chunk. The same

@@ -25,12 +25,14 @@
 //! * [`bfs`] — parallel level-synchronous BFS: top-down with per-thread
 //!   frontier buffers and a branch-avoiding `fetch_min` distance update,
 //!   plus direction-optimizing BFS whose bottom-up levels pull from a
-//!   shared atomic bitmap frontier.
-//! * [`bc`] — parallel Brandes betweenness centrality: engine-driven
-//!   forward BFS accumulating shortest-path counts (branch-avoiding
-//!   `fetch_min`/`fetch_add` vs branch-based CAS), then a reverse
+//!   shared atomic bitmap frontier. Its two top-down level kernels also
+//!   serve unit-weight SSSP and Brandes' forward phase.
+//! * [`bc`] — parallel Brandes betweenness centrality: the forward phase
+//!   is the BFS level kernels with `SIGMA` set, each frontier vertex
+//!   pulling its shortest-path count from the level above it and storing
+//!   it once (no atomic read-modify-write on σ), then a reverse
 //!   level-sweep dependency accumulation over the recorded level
-//!   boundaries.
+//!   boundaries. Undirected graphs only.
 //! * [`kcore`] — parallel k-core decomposition by concurrent peeling over
 //!   atomic degree counters: branch-avoiding unconditional `fetch_sub`
 //!   with a predicated next-frontier enqueue vs a branch-based

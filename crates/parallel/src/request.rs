@@ -500,6 +500,11 @@ pub fn run_kcore<G: AdjacencySource, S: TraceSink, X: ExecutorAxis>(
 /// accumulation; with an explicit source set they are the raw un-halved
 /// partial accumulation (see [`ParBcRun`] for the partial-result
 /// semantics under cancellation).
+///
+/// # Panics
+///
+/// When `graph` is directed: the forward phase pulls each vertex's
+/// shortest-path count from its own adjacency, which must be symmetric.
 pub fn run_betweenness<G: AdjacencySource, S: TraceSink, X: ExecutorAxis>(
     graph: &G,
     variant: Variant,

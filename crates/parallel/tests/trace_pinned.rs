@@ -229,9 +229,9 @@ fn parallel_trace_output_is_pinned() {
         ("sssp-weighted/branch-based", 116, 0x81c0aa12ac147139, 0x286a1da5456e6375),
         ("sssp-weighted/branch-avoiding", 116, 0x7dcf75f46883f441, 0x541eafec5528724d),
         ("sssp-weighted/auto", 120, 0x3df4996767dadf51, 0xe8925ed402e6bdd9),
-        ("bc/branch-based", 64, 0x6e795210caad51f5, 0xdd37b9eda29e9055),
-        ("bc/branch-avoiding", 64, 0x146c2412f1777499, 0xdd37b9eda29e9055),
-        ("bc/auto", 68, 0xd837b8cd2c32181d, 0xdd37b9eda29e9055),
+        ("bc/branch-based", 64, 0x0360952be2409e61, 0xdd37b9eda29e9055),
+        ("bc/branch-avoiding", 64, 0x6b3e6fc3a3d29e51, 0xdd37b9eda29e9055),
+        ("bc/auto", 68, 0x82465a0d7ff94695, 0xdd37b9eda29e9055),
         ("kcore/branch-based", 78, 0xd04b072fe03befa5, 0x2ea4bb8c852adced),
         ("kcore/branch-avoiding", 78, 0x6c3ccd84d724a985, 0xc5efba94691901c5),
         ("kcore/auto", 82, 0x1cc77be8e09dcf49, 0x76dab0c65619131d),

@@ -742,7 +742,7 @@ proptest! {
             let (run, _) = LevelLoop::new(&g, &pool, 1, false, config).run(
                 &state,
                 0,
-                &BranchAvoidingLevel,
+                &BranchAvoidingLevel::<false>,
                 &NoopSink,
                 None,
             );
